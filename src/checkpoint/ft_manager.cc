@@ -1,7 +1,9 @@
 #include "src/checkpoint/ft_manager.h"
 
 #include <algorithm>
+#include <atomic>
 #include <deque>
+#include <functional>
 
 #include "src/common/log.h"
 #include "src/obs/trace.h"
@@ -280,35 +282,84 @@ void FaultToleranceManager::CheckpointRddNow(const RddPtr& rdd) {
   MarkRdd(rdd, /*enqueue_writes=*/true);
 }
 
+namespace {
+
+std::string SysEpochDir(uint64_t epoch) { return "sys/epoch_" + std::to_string(epoch) + "/"; }
+
+// Written last into a systems-level epoch directory: the epoch is complete
+// iff it exists.
+constexpr const char* kSysCommitMarker = "_COMMITTED";
+
+// A one-byte payload charged as `size_bytes`: store probes, the shuffle
+// blobs of a systems-level snapshot (which only charge bytes) and its
+// commit marker.
+DfsObject ByteObject(uint64_t size_bytes) {
+  DfsObject obj;
+  obj.size_bytes = size_bytes;
+  obj.data = std::shared_ptr<const void>(
+      new uint8_t(0), [](const void* p) { delete static_cast<const uint8_t*>(p); });
+  return obj;
+}
+
+}  // namespace
+
 void FaultToleranceManager::SystemsLevelSnapshot() {
   // Persist the entire RDD cache plus per-node executor state (shuffle
-  // buffers), modelling a distributed whole-memory snapshot.
+  // buffers), modelling a distributed whole-memory snapshot. An epoch
+  // commits like an RDD checkpoint: its writes run on the executors, the
+  // last one to finish writes the commit marker (FinishSystemsEpoch), and
+  // only a committed epoch deletes its predecessor.
   const auto blocks = ctx_->BlockRegistrySnapshot();
   uint64_t epoch = 0;
   {
     MutexLock lock(&mutex_);
     epoch = ++sys_epoch_;
   }
+  const std::string dir = SysEpochDir(epoch);
+  // Writes still running, plus one token this function holds until every
+  // write is submitted; whoever drops the count to zero finishes the epoch.
+  struct EpochWrites {
+    std::atomic<int> outstanding{1};
+    std::atomic<bool> failed{false};
+  };
+  auto writes = std::make_shared<EpochWrites>();
+  auto release = [this, writes, epoch] {
+    if (writes->outstanding.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      FinishSystemsEpoch(epoch, !writes->failed.load(std::memory_order_acquire));
+    }
+  };
+  auto submit = [&writes, &release](const std::shared_ptr<NodeState>& node,
+                                    std::function<Status()> write) {
+    writes->outstanding.fetch_add(1, std::memory_order_relaxed);
+    const bool accepted = node->pool->Submit([write = std::move(write), writes, release] {
+      if (!write().ok()) {
+        writes->failed.store(true, std::memory_order_release);
+      }
+      release();
+    });
+    if (!accepted) {
+      // The node started draining mid-snapshot, so this epoch misses its
+      // blocks: it must not commit and replace a complete predecessor.
+      writes->failed.store(true, std::memory_order_release);
+      writes->outstanding.fetch_sub(1, std::memory_order_relaxed);
+    }
+  };
   for (const auto& [key, node_id] : blocks) {
     auto node = ctx_->GetNodeState(node_id);
     if (node == nullptr || node->revoked.load(std::memory_order_acquire)) {
       continue;
     }
-    // Best-effort: a rejected Submit is a node that started draining
-    // mid-snapshot; its blocks are re-covered by the next epoch.
-    (void)node->pool->Submit([this, key, node, epoch] {
+    submit(node, [this, key = key, node, dir]() -> Status {
       PartitionPtr data = node->blocks->Get(key);
       if (data == nullptr) {
-        return;
+        return Status::Ok();  // evicted since the registry snapshot: not in memory
       }
       DfsObject obj;
       obj.size_bytes = data->SizeBytes();
       obj.data = std::static_pointer_cast<const void>(data);
-      const std::string path = "sys/epoch_" + std::to_string(epoch) + "/rdd_" +
-                               std::to_string(key.rdd_id) + "_p" + std::to_string(key.partition);
-      // Best-effort snapshot write: a failed epoch blob is superseded by the
-      // next epoch; the RDD checkpoint path handles durability separately.
-      (void)ctx_->dfs().Put(path, std::move(obj));
+      return ctx_->dfs().Put(dir + "rdd_" + std::to_string(key.rdd_id) + "_p" +
+                                 std::to_string(key.partition),
+                             std::move(obj));
     });
   }
   // Shuffle buffers of the live (recent) shuffles are part of worker memory
@@ -318,22 +369,31 @@ void FaultToleranceManager::SystemsLevelSnapshot() {
   if (shuffle_bytes > 0 && !live.empty()) {
     const uint64_t share = shuffle_bytes / live.size();
     for (const auto& node : live) {
-      // A pool that closed (revocation warning) just skips its shuffle blob.
-      (void)node->pool->Submit([this, node, share, epoch] {
-        DfsObject obj;
-        obj.size_bytes = share;
-        obj.data = std::shared_ptr<const void>(
-            new uint8_t(0), [](const void* p) { delete static_cast<const uint8_t*>(p); });
-        const std::string path = "sys/epoch_" + std::to_string(epoch) + "/shuffle_node_" +
-                                 std::to_string(node->info.node_id);
-        // Best-effort: shuffle blobs exist only to charge snapshot bytes.
-        (void)ctx_->dfs().Put(path, std::move(obj));
+      submit(node, [this, node, share, dir]() -> Status {
+        return ctx_->dfs().Put(dir + "shuffle_node_" + std::to_string(node->info.node_id),
+                               ByteObject(share));
       });
     }
   }
-  // Keep only the latest epoch (continuous snapshotting reuses space).
-  if (epoch > 1) {
-    ctx_->dfs().DeletePrefix("sys/epoch_" + std::to_string(epoch - 1) + "/");
+  release();
+}
+
+void FaultToleranceManager::FinishSystemsEpoch(uint64_t epoch, bool all_written) {
+  // Commit point: the marker lands after every write of the epoch.
+  const bool marked =
+      all_written && ctx_->dfs().Put(SysEpochDir(epoch) + kSysCommitMarker, ByteObject(1)).ok();
+  uint64_t to_delete = epoch;
+  {
+    MutexLock lock(&mutex_);
+    if (marked && epoch > sys_committed_epoch_) {
+      to_delete = sys_committed_epoch_;  // the predecessor, now superseded
+      sys_committed_epoch_ = epoch;
+    }
+    // Otherwise a write failed, or a newer epoch committed first: this epoch
+    // will never be the latest snapshot, so it goes.
+  }
+  if (to_delete > 0) {
+    ctx_->dfs().DeletePrefix(SysEpochDir(to_delete));
   }
 }
 
@@ -579,11 +639,7 @@ void FaultToleranceManager::SweepPendingNow() {
 }
 
 bool FaultToleranceManager::ProbeStore() {
-  DfsObject obj;
-  obj.size_bytes = 1;
-  obj.data = std::shared_ptr<const void>(
-      new uint8_t(0), [](const void* p) { delete static_cast<const uint8_t*>(p); });
-  return ctx_->dfs().Put("ckpt/.probe", std::move(obj)).ok();
+  return ctx_->dfs().Put("ckpt/.probe", ByteObject(1)).ok();
 }
 
 bool FaultToleranceManager::degraded() const {

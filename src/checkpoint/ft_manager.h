@@ -156,6 +156,10 @@ class FaultToleranceManager : public EngineObserver {
   // otherwise partitions are written as tasks finish computing them.
   void MarkRdd(const RddPtr& rdd, bool enqueue_writes);
   void SystemsLevelSnapshot();
+  // Runs once every write of `epoch` has finished: writes the commit marker
+  // if they all succeeded, then deletes whichever epoch is now superseded —
+  // the previous committed one, or `epoch` itself if it cannot commit.
+  void FinishSystemsEpoch(uint64_t epoch, bool all_written);
   // 1-byte write through the normal DFS path (fault hooks included); used to
   // cheaply test whether the store has healed while degraded.
   bool ProbeStore();
@@ -190,7 +194,8 @@ class FaultToleranceManager : public EngineObserver {
   bool degraded_ GUARDED_BY(mutex_) = false;
   int consecutive_write_failures_ GUARDED_BY(mutex_) = 0;
   WallTime last_shuffle_checkpoint_ GUARDED_BY(mutex_);
-  uint64_t sys_epoch_ GUARDED_BY(mutex_) = 0;
+  uint64_t sys_epoch_ GUARDED_BY(mutex_) = 0;            // last epoch started
+  uint64_t sys_committed_epoch_ GUARDED_BY(mutex_) = 0;  // newest committed; 0 = none
   Stats stats_ GUARDED_BY(mutex_);
 
   Mutex thread_mutex_{"FaultToleranceManager::thread_mutex_"};

@@ -74,8 +74,6 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
         AppendCounter(out, "flint_shuffle_fused_bucket_chains",
                       c.shuffle_fused_bucket_chains.load());
         AppendCounter(out, "flint_shuffle_combine_hits", c.shuffle_combine_hits.load());
-        AppendCounter(out, "flint_shuffle_merge_reduces", c.shuffle_merge_reduces.load());
-        AppendCounter(out, "flint_shuffle_hash_reduces", c.shuffle_hash_reduces.load());
         AppendCounter(out, "flint_engine_stage_quantile_seeded",
                       c.stage_quantile_seeded.load());
         AppendCounter(out, "flint_engine_tasks_speculated", c.tasks_speculated.load());

@@ -57,12 +57,6 @@ struct SpeculationConfig {
   // Hard bound on one stage's wall-clock time, watchdog for hung tasks that
   // speculation cannot save (e.g. every replica hangs). <= 0 disables.
   double stage_watchdog_seconds = 120.0;
-  // Seed a new stage's service-time estimate from the previous stage's
-  // distribution: deadlines arm immediately (using the carried P50) instead
-  // of waiting for `quorum` in-stage completions, so short stages — fewer
-  // tasks than the quorum — still get straggler protection. The live
-  // in-stage estimate takes over once it reaches quorum.
-  bool seed_from_previous_stage = true;
 };
 
 struct EngineConfig {
@@ -74,20 +68,6 @@ struct EngineConfig {
   // pay bytes/bandwidth on top of generation compute.
   double origin_read_bandwidth_bytes_per_s = 48.0 * kMiB;
   bool model_latency = true;
-  // Narrow-chain operator fusion (see fusion.h / DESIGN.md "Execution hot
-  // path"): chains of streaming one-to-one operators execute as one task
-  // without materializing intermediate partitions. Off switches every task
-  // back to per-level Compute, which benchmarks and differential tests use.
-  bool operator_fusion = true;
-  // Wide-stage pipelining (DESIGN.md "Execution hot path"): shuffle map
-  // tasks stream their narrow chain straight into the bucket sinks, eliding
-  // the map-side partition. Requires operator_fusion; off falls back to
-  // materialize-then-bucket (same sinks, bit-identical buckets).
-  bool shuffle_fusion = true;
-  // Reduce side consumes key-sorted buckets with a k-way merge + combine
-  // instead of rebuilding a hash table. Off switches to the flat-hash
-  // rebuild (differential-testing fallback; outputs are bit-identical).
-  bool shuffle_merge_reduce = true;
   // Backoff/deadline applied to every checkpoint Put (partition objects and
   // manifests) and to verified restore reads. Transient DFS failures retry
   // inside this budget; exhausting it abandons the write (the FT manager's
@@ -145,9 +125,7 @@ struct EngineCounters {
   std::atomic<uint64_t> shuffle_rows_bucketed_fused{0};    // rows streamed into buckets
   std::atomic<uint64_t> shuffle_rows_bucketed_unfused{0};  // rows bucketed after materializing
   std::atomic<uint64_t> shuffle_fused_bucket_chains{0};    // map tasks that elided their output
-  std::atomic<uint64_t> shuffle_combine_hits{0};   // map-side rows absorbed by the combiner
-  std::atomic<uint64_t> shuffle_merge_reduces{0};  // reduce tasks served by k-way merge
-  std::atomic<uint64_t> shuffle_hash_reduces{0};   // reduce tasks served by hash rebuild
+  std::atomic<uint64_t> shuffle_combine_hits{0};  // map-side rows absorbed by the combiner
   // Stages whose speculation deadlines armed from the previous stage's
   // carried quantile before reaching in-stage quorum.
   std::atomic<uint64_t> stage_quantile_seeded{0};

@@ -16,16 +16,22 @@ namespace flint {
 
 namespace {
 
-// True if `rdd` can be elided as an intermediate of a fused chain: a
-// streaming operator over exactly one narrow parent whose output nothing
-// else needs — not cached, not checkpoint-marked, and no other live
-// consumer. (A cached/marked/shared intermediate must be materialized on its
-// own so the cache, the checkpoint writer, or the other consumer sees it.)
-bool FusableIntermediate(const RddPtr& rdd) {
+// True if `rdd` is a streaming operator over exactly one narrow parent, i.e.
+// it can sit in a fused chain (as its head or as an intermediate).
+bool StreamingOperator(const RddPtr& rdd) {
   return rdd->fusion_ops() != nullptr && rdd->deps().size() == 1 &&
-         rdd->deps()[0].type == DepType::kNarrowOneToOne && rdd->deps()[0].parent != nullptr &&
-         !rdd->should_cache() && rdd->checkpoint_state() == CheckpointState::kNone &&
-         rdd->consumer_count() <= 1;
+         rdd->deps()[0].type == DepType::kNarrowOneToOne && rdd->deps()[0].parent != nullptr;
+}
+
+// True if `rdd` can be elided as an intermediate of a fused chain: a
+// streaming operator whose output nothing else needs — not cached, not
+// checkpoint-marked, and no other live consumer. (A cached/marked/shared
+// intermediate must be materialized on its own so the cache, the checkpoint
+// writer, or the other consumer sees it.) These are the fusion barriers, and
+// the only route to the unfused paths.
+bool FusableIntermediate(const RddPtr& rdd) {
+  return StreamingOperator(rdd) && !rdd->should_cache() &&
+         rdd->checkpoint_state() == CheckpointState::kNone && rdd->consumer_count() <= 1;
 }
 
 }  // namespace
@@ -91,39 +97,29 @@ Result<PartitionPtr> TaskContext::GetPartition(const RddPtr& rdd, int partition)
   return data;
 }
 
-Result<PartitionPtr> TaskContext::ComputeFromLineage(const RddPtr& rdd, int partition) {
-  // The chain head itself must be a streaming operator over one narrow
-  // parent; its own cache/checkpoint/consumer state is irrelevant (the head's
-  // output IS materialized — GetPartition handles storing it).
-  if (!ctx_->config().operator_fusion || rdd->fusion_ops() == nullptr ||
-      rdd->deps().size() != 1 || rdd->deps()[0].type != DepType::kNarrowOneToOne ||
-      rdd->deps()[0].parent == nullptr) {
-    return rdd->Compute(partition, *this);
-  }
+Result<size_t> TaskContext::StreamChain(
+    const RddPtr& head, int partition,
+    const std::function<FusionSink&(const PartitionData& input)>& terminal_for) {
   // chain[0] = head; extend downward through transparent intermediates until
   // a barrier: a source, shuffle consumer, cached/marked RDD, or one with
   // another live consumer.
-  std::vector<RddPtr> chain{rdd};
-  RddPtr barrier = rdd->deps()[0].parent;
+  std::vector<RddPtr> chain{head};
+  RddPtr barrier = head->deps()[0].parent;
   while (FusableIntermediate(barrier)) {
     chain.push_back(barrier);
     barrier = barrier->deps()[0].parent;
   }
-  if (chain.size() == 1) {
-    return rdd->Compute(partition, *this);  // nothing to elide
-  }
 
   // Materialize the barrier input through the regular path (cluster cache,
   // checkpoint restore, recursive lineage — possibly another fused chain
-  // below the barrier), then stream it through the composed operators.
+  // below the barrier).
   FLINT_ASSIGN_OR_RETURN(PartitionPtr input, GetPartition(barrier, partition));
 
   // Sinks compose top-down: the head's adapter feeds the terminal, each
   // deeper operator's adapter feeds the one above, and the bottom operator
   // drives the barrier rows through the whole stack (and issues the single
   // Flush sweep).
-  FusionTerminal terminal = chain.front()->fusion_ops()->make_terminal();
-  FusionSink* down = terminal.sink.get();
+  FusionSink* down = &terminal_for(*input);
   std::vector<std::unique_ptr<FusionSink>> adapters;
   adapters.reserve(chain.size() - 1);
   for (size_t i = 0; i + 1 < chain.size(); ++i) {
@@ -131,10 +127,26 @@ Result<PartitionPtr> TaskContext::ComputeFromLineage(const RddPtr& rdd, int part
     down = adapters.back().get();
   }
   chain.back()->fusion_ops()->drive(partition, *input, *down);
+  return chain.size();
+}
 
+Result<PartitionPtr> TaskContext::ComputeFromLineage(const RddPtr& rdd, int partition) {
+  // The chain head itself must be a streaming operator over one narrow
+  // parent; its own cache/checkpoint/consumer state is irrelevant (the head's
+  // output IS materialized — GetPartition handles storing it). With no
+  // elidable intermediate below it there is nothing to fuse.
+  if (!StreamingOperator(rdd) || !FusableIntermediate(rdd->deps()[0].parent)) {
+    return rdd->Compute(partition, *this);
+  }
+  FusionTerminal terminal = rdd->fusion_ops()->make_terminal();
+  FLINT_ASSIGN_OR_RETURN(
+      const size_t length,
+      StreamChain(rdd, partition, [&terminal](const PartitionData&) -> FusionSink& {
+        return *terminal.sink;
+      }));
   EngineCounters& counters = ctx_->counters();
   counters.fused_chains.fetch_add(1, std::memory_order_relaxed);
-  counters.fused_operators_elided.fetch_add(chain.size() - 1, std::memory_order_relaxed);
+  counters.fused_operators_elided.fetch_add(length - 1, std::memory_order_relaxed);
   return terminal.finish();
 }
 
@@ -154,27 +166,16 @@ Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPt
   // shuffle, and neither the cache nor the checkpoint writer needs its
   // output), so the chain above it drives records straight into the bucket
   // sink and the map-side partition is never built.
-  if (ctx_->config().operator_fusion && ctx_->config().shuffle_fusion &&
-      FusableIntermediate(map_rdd)) {
-    std::vector<RddPtr> chain{map_rdd};
-    RddPtr barrier = map_rdd->deps()[0].parent;
-    while (FusableIntermediate(barrier)) {
-      chain.push_back(barrier);
-      barrier = barrier->deps()[0].parent;
-    }
-    FLINT_ASSIGN_OR_RETURN(PartitionPtr input, GetPartition(barrier, partition));
-
-    const auto t0 = WallClock::now();
-    BucketTerminal terminal =
-        info.make_bucket_sink(info.num_reduce_partitions, input->NumRecords());
-    FusionSink* down = terminal.sink.get();
-    std::vector<std::unique_ptr<FusionSink>> adapters;
-    adapters.reserve(chain.size() - 1);
-    for (size_t i = 0; i + 1 < chain.size(); ++i) {
-      adapters.push_back(chain[i]->fusion_ops()->adapt(partition, *down));
-      down = adapters.back().get();
-    }
-    chain.back()->fusion_ops()->drive(partition, *input, *down);
+  if (FusableIntermediate(map_rdd)) {
+    BucketTerminal terminal;
+    WallTime t0;
+    FLINT_ASSIGN_OR_RETURN(
+        const size_t length,
+        StreamChain(map_rdd, partition, [&](const PartitionData& input) -> FusionSink& {
+          t0 = WallClock::now();
+          terminal = info.make_bucket_sink(info.num_reduce_partitions, input.NumRecords());
+          return *terminal.sink;
+        }));
     const double seconds = WallDuration(WallClock::now() - t0).count();
     if (Cancelled()) {
       return Unavailable("node revoked during compute");
@@ -186,7 +187,7 @@ Result<std::vector<PartitionPtr>> TaskContext::ComputeShuffleBuckets(const RddPt
     counters.shuffle_fused_bucket_chains.fetch_add(1, std::memory_order_relaxed);
     counters.shuffle_rows_bucketed_fused.fetch_add(terminal.rows_in(),
                                                    std::memory_order_relaxed);
-    counters.fused_operators_elided.fetch_add(chain.size() - 1, std::memory_order_relaxed);
+    counters.fused_operators_elided.fetch_add(length - 1, std::memory_order_relaxed);
     return terminal.finish();
   }
 

@@ -6,6 +6,7 @@
 #define SRC_ENGINE_TASK_CONTEXT_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 
 #include "src/common/status.h"
@@ -47,9 +48,9 @@ class TaskContext {
   // Runs the map side of one shuffle task: produces the reduce-side buckets
   // of (map_rdd, partition) through `info`'s bucket sink. When the map RDD
   // is a streaming operator nothing else needs (uncached, unmarked, sole
-  // consumer is the shuffle) and shuffle fusion is on, the narrow chain
-  // above it streams directly into the sink and the map-side partition is
-  // never materialized; otherwise the partition materializes through
+  // consumer is the shuffle), the narrow chain above it streams directly
+  // into the sink and the map-side partition is never materialized;
+  // otherwise the partition materializes through
   // GetPartition and its rows are driven through the same sink. Both paths
   // push identical rows in identical order, so the buckets are
   // bit-identical by construction.
@@ -95,6 +96,19 @@ class TaskContext {
   // and multi-consumer boundaries, where the regular materialization order
   // (cache -> checkpoint -> recursion) takes over for the barrier input.
   Result<PartitionPtr> ComputeFromLineage(const RddPtr& rdd, int partition);
+
+  // Streams `partition` of the fused chain headed by `head` (a streaming
+  // operator) into a terminal sink: walks down through elidable
+  // intermediates to the barrier, materializes the barrier through
+  // GetPartition, asks `terminal_for` for the sink consuming the head's
+  // output (given the barrier input, so it can pre-size), composes the
+  // operators' adapters top-down onto it, and drives the barrier rows
+  // through the stack. Shared by narrow-chain fusion (ComputeFromLineage)
+  // and fused map-side bucketing (ComputeShuffleBuckets). Returns the
+  // number of operators in the chain.
+  Result<size_t> StreamChain(
+      const RddPtr& head, int partition,
+      const std::function<FusionSink&(const PartitionData& input)>& terminal_for);
 };
 
 }  // namespace flint

@@ -216,15 +216,26 @@ TEST(FtManagerTest, SystemsLevelSnapshotsWholeCache) {
   b.Cache();
   ASSERT_TRUE(b.Materialize().ok());
   ft.Start();
-  // Wait for at least one systems-level epoch to land in the DFS.
+  // Wait for at least one systems-level epoch to commit: all of its writes
+  // landed, then its `_COMMITTED` marker.
+  auto committed = [&h] {
+    for (const std::string& path : h.dfs().List("sys/")) {
+      if (path.size() >= 11 && path.compare(path.size() - 11, 11, "/_COMMITTED") == 0) {
+        return true;
+      }
+    }
+    return false;
+  };
   bool snapshotted = false;
   for (int i = 0; i < 400 && !snapshotted; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    snapshotted = !h.dfs().List("sys/").empty();
+    snapshotted = committed();
   }
   ft.Stop();
   EXPECT_TRUE(snapshotted);
-  // Both cached RDDs' partitions appear in the snapshot (8 blocks).
+  // Both cached RDDs' partitions appear in the snapshot (8 blocks). A later
+  // epoch deletes this one only after committing itself, so some committed
+  // epoch is always complete.
   EXPECT_GE(h.dfs().List("sys/").size(), 8u);
 }
 

@@ -17,6 +17,7 @@
 namespace flint {
 namespace {
 
+using testing::CachedIf;
 using testing::EngineHarness;
 using testing::EngineHarnessOptions;
 
@@ -147,21 +148,25 @@ TEST(EngineOpsTest, KeysValuesProject) {
 }
 
 // --- narrow-chain operator fusion (fusion.h) ---
+//
+// The differential tests below compare a fused pipeline against the same
+// pipeline with every intermediate .Cache()d. Caching is a fusion barrier,
+// so the reference run takes the per-level Compute path; each reference
+// asserts fused_chains == 0 to prove it.
 
 TEST(FusionTest, FusedChainMatchesUnfusedBitForBit) {
   EngineHarness fused;
-  EngineHarness plain{EngineHarnessOptions{.operator_fusion = false}};
+  EngineHarness plain;
   std::vector<int> data(5000);
   std::iota(data.begin(), data.end(), -2500);
-  auto run = [&data](EngineHarness& h) {
-    return Parallelize(&h.ctx(), data, 4)
-        .Map([](const int& x) { return x * 3 + 1; })
-        .Map([](const int& x) { return x ^ (x >> 2); })
-        .Filter([](const int& x) { return x % 7 != 0; })
-        .Collect();
+  auto run = [&data](EngineHarness& h, bool cached) {
+    auto m1 = CachedIf(Parallelize(&h.ctx(), data, 4).Map([](const int& x) { return x * 3 + 1; }),
+                       cached);
+    auto m2 = CachedIf(m1.Map([](const int& x) { return x ^ (x >> 2); }), cached);
+    return m2.Filter([](const int& x) { return x % 7 != 0; }).Collect();
   };
-  auto a = run(fused);
-  auto b = run(plain);
+  auto a = run(fused, false);
+  auto b = run(plain, true);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
@@ -176,24 +181,26 @@ TEST(FusionTest, FusedChainMatchesUnfusedBitForBit) {
 
 TEST(FusionTest, FlatMapAndSampleFuseDeterministically) {
   EngineHarness fused;
-  EngineHarness plain{EngineHarnessOptions{.operator_fusion = false}};
+  EngineHarness plain;
   std::vector<int> data(2000);
   std::iota(data.begin(), data.end(), 0);
-  auto run = [&data](EngineHarness& h) {
-    auto exploded = Parallelize(&h.ctx(), data, 5).FlatMap([](const int& x) {
+  auto run = [&data](EngineHarness& h, bool cached) {
+    auto exploded = CachedIf(Parallelize(&h.ctx(), data, 5).FlatMap([](const int& x) {
       return std::vector<int>{x, x + 100000};
-    });
-    return Sample(exploded, 0.5, /*seed=*/11)
+    }),
+                             cached);
+    return CachedIf(Sample(exploded, 0.5, /*seed=*/11), cached)
         .Map([](const int& x) { return x * 2; })
         .Collect();
   };
-  auto a = run(fused);
-  auto b = run(plain);
+  auto a = run(fused, false);
+  auto b = run(plain, true);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);  // includes the per-partition sampling RNG streams
   EXPECT_EQ(fused.ctx().counters().fused_chains.load(), 5u);
   EXPECT_EQ(fused.ctx().counters().fused_operators_elided.load(), 10u);
+  EXPECT_EQ(plain.ctx().counters().fused_chains.load(), 0u);
 }
 
 TEST(FusionTest, CacheBoundaryBreaksFusionAndPopulatesCache) {
@@ -254,48 +261,51 @@ TEST(FusionTest, SharedIntermediateIsNotFusedThrough) {
 
 TEST(FusionTest, FusionRestartsAfterShuffleBoundary) {
   EngineHarness fused;
-  EngineHarness plain{EngineHarnessOptions{.operator_fusion = false}};
+  EngineHarness plain;
   std::vector<std::pair<int, int>> data;
   for (int i = 0; i < 1200; ++i) {
     data.emplace_back(i % 23, 1);
   }
-  auto run = [&data](EngineHarness& h) {
+  auto run = [&data](EngineHarness& h, bool cached) {
     auto counts = ReduceByKey(Parallelize(&h.ctx(), data, 4), 3,
                               [](int a, int b) { return a + b; });
-    auto out = counts.Map([](const std::pair<int, int>& kv) { return kv.second; })
-                   .Filter([](const int& c) { return c > 0; })
-                   .Collect();
+    auto out =
+        CachedIf(counts.Map([](const std::pair<int, int>& kv) { return kv.second; }), cached)
+            .Filter([](const int& c) { return c > 0; })
+            .Collect();
     if (out.ok()) {
       std::sort(out->begin(), out->end());
     }
     return out;
   };
-  auto a = run(fused);
-  auto b = run(plain);
+  auto a = run(fused, false);
+  auto b = run(plain, true);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
   // The Map->Filter pair above the shuffle output fused (one chain per
   // reduce partition); the shuffle itself never streams.
   EXPECT_EQ(fused.ctx().counters().fused_chains.load(), 3u);
+  EXPECT_EQ(plain.ctx().counters().fused_chains.load(), 0u);
 }
 
 TEST(FusionTest, ReducePartialsFuseIntoTheChain) {
   EngineHarness fused;
-  EngineHarness plain{EngineHarnessOptions{.operator_fusion = false}};
+  EngineHarness plain;
   std::vector<int> data(4000);
   std::iota(data.begin(), data.end(), 1);
-  auto run = [&data](EngineHarness& h) {
-    return Parallelize(&h.ctx(), data, 6)
-        .Map([](const int& x) { return x * 2; })
+  auto run = [&data](EngineHarness& h, bool cached) {
+    return CachedIf(Parallelize(&h.ctx(), data, 6).Map([](const int& x) { return x * 2; }),
+                    cached)
         .Reduce([](int a, int b) { return a + b; });
   };
-  auto a = run(fused);
-  auto b = run(plain);
+  auto a = run(fused, false);
+  auto b = run(plain, true);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(*a, *b);
   EXPECT_EQ(*a, 4000 * 4001);
+  EXPECT_EQ(plain.ctx().counters().fused_chains.load(), 0u);
   // The per-partition fold sank into the map chain: map + partial fuse.
   EXPECT_EQ(fused.ctx().counters().fused_chains.load(), 6u);
   EXPECT_EQ(fused.ctx().counters().fused_operators_elided.load(), 6u);

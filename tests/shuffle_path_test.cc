@@ -1,11 +1,12 @@
-// Wide-stage hot-path tests (ISSUE 9): the fused map-side bucketing and the
-// merge-based reduce must be pure performance changes — every path produces
-// bit-identical partitions. Covers:
+// Wide-stage hot-path tests: the fused map-side bucketing must be a pure
+// performance change, and the merge-based reduce must compute exactly what
+// the operators promise. Covers:
 //   - FlatHashMap unit behaviour (growth, collision storms, insertion-order
 //     iteration, Reserve contract);
 //   - fused vs unfused bucketing bit-identity for ReduceByKey / GroupByKey /
-//     Join, including a non-commutative-looking string combine;
-//   - merge-reduce vs hash-rebuild bit-identity;
+//     Join, including a non-commutative string combine. The unfused
+//     reference caches the map side, which is a fusion barrier;
+//   - the merge-based reduce against an independent std::map oracle;
 //   - determinism across num_reduce choices;
 //   - fused bucket chains recomputing bit-identically through a whole-cluster
 //     revocation storm.
@@ -13,7 +14,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -25,8 +28,8 @@
 namespace flint {
 namespace {
 
+using testing::CachedIf;
 using testing::EngineHarness;
-using testing::EngineHarnessOptions;
 
 // --- FlatHashMap units ---
 
@@ -122,14 +125,11 @@ TEST(FlatHashTest, BracketDefaultInsertsAndAppends) {
   EXPECT_EQ(*m.Find(9), (std::vector<int>{3}));
 }
 
-// --- fused vs unfused / merge vs hash bit-identity ---
-
-EngineHarnessOptions Opts(bool shuffle_fusion, bool merge_reduce) {
-  EngineHarnessOptions o;
-  o.shuffle_fusion = shuffle_fusion;
-  o.shuffle_merge_reduce = merge_reduce;
-  return o;
-}
+// --- fused vs unfused bit-identity, merge reduce vs std::map oracle ---
+//
+// Each workload takes `cache_map_side`: caching the RDD feeding the shuffle
+// is a fusion barrier, so the cached run buckets through the
+// materialize-then-bucket fallback. That is the unfused reference.
 
 // Skewed keyed data: key frequencies differ and values depend on position,
 // so any reordering anywhere in the shuffle shows up in the output.
@@ -142,17 +142,119 @@ std::vector<std::pair<int, int>> SkewedPairs(int rows, int keys) {
   return data;
 }
 
-// Each workload returns the raw Collect — partitions concatenated in order,
-// so the comparison is full bit-identity, not just set equality.
+// Asserts which map-side path a finished run took.
+void ExpectFusedMapSide(FlintContext& ctx) {
+  EXPECT_GT(ctx.counters().shuffle_fused_bucket_chains.load(), 0u);
+  EXPECT_GT(ctx.counters().shuffle_rows_bucketed_fused.load(), 0u);
+  EXPECT_EQ(ctx.counters().shuffle_rows_bucketed_unfused.load(), 0u);
+}
 
-std::vector<std::pair<int, int>> RunReduceByKey(FlintContext* ctx, int num_reduce) {
+void ExpectUnfusedMapSide(FlintContext& ctx) {
+  EXPECT_EQ(ctx.counters().shuffle_fused_bucket_chains.load(), 0u);
+  EXPECT_GT(ctx.counters().shuffle_rows_bucketed_unfused.load(), 0u);
+}
+
+// The per-row transforms and combines, shared by the pipelines and the
+// oracles so both see the same input rows.
+std::pair<int, int> OddDouble(const std::pair<int, int>& kv) {
+  return {kv.first, kv.second * 2 + 1};
+}
+std::pair<int, std::string> Decimal(const std::pair<int, int>& kv) {
+  return {kv.first, std::to_string(kv.second)};
+}
+std::pair<int, int> XorFive(const std::pair<int, int>& kv) { return {kv.first, kv.second ^ 5}; }
+std::pair<int, int> Shift(const std::pair<int, int>& kv) {
+  return {kv.first, kv.second + 100000};
+}
+std::pair<int, int> Negate(const std::pair<int, int>& kv) { return {kv.first, -kv.second}; }
+// Associative and visibly non-commutative: any change in fold order shows.
+std::string Concat(const std::string& a, const std::string& b) { return a + "," + b; }
+
+template <typename In, typename F>
+auto Transformed(const std::vector<In>& rows, F fn) {
+  std::vector<std::decay_t<std::invoke_result_t<F, const In&>>> out;
+  out.reserve(rows.size());
+  for (const In& r : rows) {
+    out.push_back(fn(r));
+  }
+  return out;
+}
+
+// --- the std::map oracle ---
+//
+// Independent of every engine data structure: an ordered map folds values
+// in input order and emits rows sorted by key. For Join, each key's rows
+// are ordered by right-side row, then by left-side row.
+
+template <typename K, typename V, typename F>
+std::vector<std::pair<K, V>> OracleReduceByKey(const std::vector<std::pair<K, V>>& rows,
+                                               F combine) {
+  std::map<K, V> acc;
+  for (const auto& [k, v] : rows) {
+    auto [it, inserted] = acc.emplace(k, v);
+    if (!inserted) {
+      it->second = combine(it->second, v);
+    }
+  }
+  return {acc.begin(), acc.end()};
+}
+
+template <typename K, typename V>
+std::vector<std::pair<K, std::vector<V>>> OracleGroupByKey(
+    const std::vector<std::pair<K, V>>& rows) {
+  std::map<K, std::vector<V>> acc;
+  for (const auto& [k, v] : rows) {
+    acc[k].push_back(v);
+  }
+  return {acc.begin(), acc.end()};
+}
+
+template <typename K, typename V, typename W>
+std::vector<std::pair<K, std::pair<V, W>>> OracleJoin(const std::vector<std::pair<K, V>>& left,
+                                                      const std::vector<std::pair<K, W>>& right) {
+  std::map<K, std::vector<V>> lefts;
+  for (const auto& [k, v] : left) {
+    lefts[k].push_back(v);
+  }
+  std::map<K, std::vector<W>> rights;
+  for (const auto& [k, w] : right) {
+    rights[k].push_back(w);
+  }
+  std::vector<std::pair<K, std::pair<V, W>>> out;
+  for (const auto& [k, ws] : rights) {
+    auto it = lefts.find(k);
+    if (it == lefts.end()) {
+      continue;
+    }
+    for (const W& w : ws) {
+      for (const V& v : it->second) {
+        out.emplace_back(k, std::make_pair(v, w));
+      }
+    }
+  }
+  return out;
+}
+
+// Collect concatenates reduce partitions, each key-sorted; a stable sort by
+// key lines the result up with the oracle without touching per-key order.
+template <typename Row>
+std::vector<Row> SortedByKey(std::vector<Row> rows) {
+  std::stable_sort(rows.begin(), rows.end(),
+                   [](const Row& a, const Row& b) { return a.first < b.first; });
+  return rows;
+}
+
+// Each workload returns the raw Collect — partitions concatenated in order,
+// so the fused-vs-unfused comparison is full bit-identity, not just set
+// equality.
+
+std::vector<std::pair<int, int>> RunReduceByKey(FlintContext* ctx, int num_reduce,
+                                                bool cache_map_side = false) {
   // The Map between the source and the shuffle is the narrow chain the fused
-  // path elides; the combine is associative but NOT commutative-looking
-  // (order-sensitive mixing), so any change in fold order breaks equality.
-  auto mapped = Parallelize(ctx, SkewedPairs(6000, 37), 5)
-                    .Map([](const std::pair<int, int>& kv) {
-                      return std::make_pair(kv.first, kv.second * 2 + 1);
-                    });
+  // path elides; the combine is order-sensitive mixing, so any change in
+  // fold order breaks equality.
+  auto mapped = CachedIf(Parallelize(ctx, SkewedPairs(6000, 37), 5).Map(OddDouble),
+                         cache_map_side);
   auto out = ReduceByKey(mapped, num_reduce,
                          [](int a, int b) { return a * 31 + b; })
                  .Collect();
@@ -160,43 +262,34 @@ std::vector<std::pair<int, int>> RunReduceByKey(FlintContext* ctx, int num_reduc
   return out.ok() ? *out : std::vector<std::pair<int, int>>{};
 }
 
-std::vector<std::pair<int, std::string>> RunStringConcat(FlintContext* ctx) {
+std::vector<std::pair<int, std::string>> RunStringConcat(FlintContext* ctx,
+                                                         bool cache_map_side = false,
+                                                         int num_reduce = 3) {
   // String concatenation: associative, visibly non-commutative. The fold
   // order (map partition, row index) must survive fusion and the merge.
-  auto mapped = Parallelize(ctx, SkewedPairs(2000, 23), 4)
-                    .Map([](const std::pair<int, int>& kv) {
-                      return std::make_pair(kv.first, std::to_string(kv.second));
-                    });
-  auto out = ReduceByKey(mapped, 3,
-                         [](const std::string& a, const std::string& b) {
-                           return a + "," + b;
-                         })
-                 .Collect();
+  auto mapped =
+      CachedIf(Parallelize(ctx, SkewedPairs(2000, 23), 4).Map(Decimal), cache_map_side);
+  auto out = ReduceByKey(mapped, num_reduce, Concat).Collect();
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::vector<std::pair<int, std::string>>{};
 }
 
-std::vector<std::pair<int, std::vector<int>>> RunGroupByKey(FlintContext* ctx) {
-  auto mapped = Parallelize(ctx, SkewedPairs(4000, 29), 6)
-                    .Map([](const std::pair<int, int>& kv) {
-                      return std::make_pair(kv.first, kv.second ^ 5);
-                    });
+std::vector<std::pair<int, std::vector<int>>> RunGroupByKey(FlintContext* ctx,
+                                                            bool cache_map_side = false) {
+  auto mapped =
+      CachedIf(Parallelize(ctx, SkewedPairs(4000, 29), 6).Map(XorFive), cache_map_side);
   auto out = GroupByKey(mapped, 4).Collect();
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::vector<std::pair<int, std::vector<int>>>{};
 }
 
-std::vector<std::pair<int, std::pair<int, int>>> RunJoin(FlintContext* ctx) {
+std::vector<std::pair<int, std::pair<int, int>>> RunJoin(FlintContext* ctx,
+                                                         bool cache_map_side = false) {
   // Duplicate keys on both sides so the per-key cross product's row order is
   // exercised, with narrow Maps above both shuffles.
-  auto left = Parallelize(ctx, SkewedPairs(1500, 19), 4)
-                  .Map([](const std::pair<int, int>& kv) {
-                    return std::make_pair(kv.first, kv.second + 100000);
-                  });
-  auto right = Parallelize(ctx, SkewedPairs(900, 19), 3)
-                   .Map([](const std::pair<int, int>& kv) {
-                     return std::make_pair(kv.first, -kv.second);
-                   });
+  auto left = CachedIf(Parallelize(ctx, SkewedPairs(1500, 19), 4).Map(Shift), cache_map_side);
+  auto right =
+      CachedIf(Parallelize(ctx, SkewedPairs(900, 19), 3).Map(Negate), cache_map_side);
   auto out = Join(left, right, 3).Collect();
   EXPECT_TRUE(out.ok()) << out.status().ToString();
   return out.ok() ? *out : std::vector<std::pair<int, std::pair<int, int>>>{};
@@ -205,87 +298,79 @@ std::vector<std::pair<int, std::pair<int, int>>> RunJoin(FlintContext* ctx) {
 TEST(ShufflePathTest, ReduceByKeyFusedMatchesUnfused) {
   std::vector<std::pair<int, int>> fused, unfused;
   {
-    EngineHarness h{Opts(/*shuffle_fusion=*/true, /*merge_reduce=*/true)};
+    EngineHarness h;
     fused = RunReduceByKey(&h.ctx(), 4);
-    EXPECT_GT(h.ctx().counters().shuffle_fused_bucket_chains.load(), 0u);
-    EXPECT_GT(h.ctx().counters().shuffle_rows_bucketed_fused.load(), 0u);
-    EXPECT_EQ(h.ctx().counters().shuffle_rows_bucketed_unfused.load(), 0u);
+    ExpectFusedMapSide(h.ctx());
     EXPECT_GT(h.ctx().counters().shuffle_combine_hits.load(), 0u);
   }
   {
-    EngineHarness h{Opts(/*shuffle_fusion=*/false, /*merge_reduce=*/true)};
-    unfused = RunReduceByKey(&h.ctx(), 4);
-    EXPECT_EQ(h.ctx().counters().shuffle_fused_bucket_chains.load(), 0u);
-    EXPECT_GT(h.ctx().counters().shuffle_rows_bucketed_unfused.load(), 0u);
+    EngineHarness h;
+    unfused = RunReduceByKey(&h.ctx(), 4, /*cache_map_side=*/true);
+    ExpectUnfusedMapSide(h.ctx());
   }
   ASSERT_FALSE(fused.empty());
   EXPECT_EQ(fused, unfused);
 }
 
-TEST(ShufflePathTest, MergeReduceMatchesHashRebuild) {
-  std::vector<std::pair<int, int>> merged, hashed;
-  {
-    EngineHarness h{Opts(true, /*merge_reduce=*/true)};
-    merged = RunReduceByKey(&h.ctx(), 4);
-    EXPECT_GT(h.ctx().counters().shuffle_merge_reduces.load(), 0u);
-    EXPECT_EQ(h.ctx().counters().shuffle_hash_reduces.load(), 0u);
+TEST(ShufflePathTest, ReduceByKeyMatchesOrderedMapOracle) {
+  const auto oracle = OracleReduceByKey(Transformed(SkewedPairs(2000, 23), Decimal), Concat);
+  for (int num_reduce : {1, 2, 5, 8}) {
+    EngineHarness h;
+    EXPECT_EQ(SortedByKey(RunStringConcat(&h.ctx(), /*cache_map_side=*/false, num_reduce)),
+              oracle)
+        << "num_reduce=" << num_reduce;
   }
-  {
-    EngineHarness h{Opts(true, /*merge_reduce=*/false)};
-    hashed = RunReduceByKey(&h.ctx(), 4);
-    EXPECT_EQ(h.ctx().counters().shuffle_merge_reduces.load(), 0u);
-    EXPECT_GT(h.ctx().counters().shuffle_hash_reduces.load(), 0u);
-  }
-  ASSERT_FALSE(merged.empty());
-  EXPECT_EQ(merged, hashed);
 }
 
 TEST(ShufflePathTest, NonCommutativeCombineIdenticalOnAllPaths) {
   std::vector<std::pair<int, std::string>> reference;
   {
-    EngineHarness h{Opts(true, true)};
+    EngineHarness h;
     reference = RunStringConcat(&h.ctx());
     ASSERT_FALSE(reference.empty());
+    ExpectFusedMapSide(h.ctx());
   }
-  for (bool fusion : {true, false}) {
-    for (bool merge : {true, false}) {
-      EngineHarness h{Opts(fusion, merge)};
-      EXPECT_EQ(RunStringConcat(&h.ctx()), reference)
-          << "fusion=" << fusion << " merge=" << merge;
-    }
+  {
+    EngineHarness h;
+    EXPECT_EQ(RunStringConcat(&h.ctx(), /*cache_map_side=*/true), reference);
+    ExpectUnfusedMapSide(h.ctx());
   }
+  EXPECT_EQ(SortedByKey(reference),
+            OracleReduceByKey(Transformed(SkewedPairs(2000, 23), Decimal), Concat));
 }
 
 TEST(ShufflePathTest, GroupByKeyIdenticalOnAllPaths) {
   std::vector<std::pair<int, std::vector<int>>> reference;
   {
-    EngineHarness h{Opts(true, true)};
+    EngineHarness h;
     reference = RunGroupByKey(&h.ctx());
     ASSERT_FALSE(reference.empty());
+    ExpectFusedMapSide(h.ctx());
   }
-  for (bool fusion : {true, false}) {
-    for (bool merge : {true, false}) {
-      EngineHarness h{Opts(fusion, merge)};
-      EXPECT_EQ(RunGroupByKey(&h.ctx()), reference)
-          << "fusion=" << fusion << " merge=" << merge;
-    }
+  {
+    EngineHarness h;
+    EXPECT_EQ(RunGroupByKey(&h.ctx(), /*cache_map_side=*/true), reference);
+    ExpectUnfusedMapSide(h.ctx());
   }
+  EXPECT_EQ(SortedByKey(reference), OracleGroupByKey(Transformed(SkewedPairs(4000, 29), XorFive)));
 }
 
 TEST(ShufflePathTest, JoinIdenticalOnAllPaths) {
   std::vector<std::pair<int, std::pair<int, int>>> reference;
   {
-    EngineHarness h{Opts(true, true)};
+    EngineHarness h;
     reference = RunJoin(&h.ctx());
     ASSERT_FALSE(reference.empty());
+    ExpectFusedMapSide(h.ctx());
   }
-  for (bool fusion : {true, false}) {
-    for (bool merge : {true, false}) {
-      EngineHarness h{Opts(fusion, merge)};
-      EXPECT_EQ(RunJoin(&h.ctx()), reference)
-          << "fusion=" << fusion << " merge=" << merge;
-    }
+  {
+    EngineHarness h;
+    EXPECT_EQ(RunJoin(&h.ctx(), /*cache_map_side=*/true), reference);
+    ExpectUnfusedMapSide(h.ctx());
   }
+  EXPECT_EQ(SortedByKey(reference),
+            OracleJoin(Transformed(SkewedPairs(1500, 19), Shift),
+                       Transformed(SkewedPairs(900, 19), Negate)));
 }
 
 // The reduce output read key-sorted must not depend on how many reduce

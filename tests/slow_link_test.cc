@@ -372,65 +372,84 @@ TEST_F(SlowLinkTest, SlowLinkComposesWithRevocationStorm) {
   EXPECT_TRUE(injector.AllEventsFired());
 }
 
-// Replayability across the shuffle configuration grid: the same plan + seed
-// must make identical injection decisions and produce identical output on
-// two runs of every (shuffle_fusion, shuffle_merge_reduce) cell, and all
-// four cells must agree on the (sorted) result. Injector stats are compared
-// field by field EXCEPT points_observed: the kSchedulerRound probe fires
-// once per scheduler retry round, and the number of rounds a stage needs is
-// timing-dependent even when every injection decision is identical.
+// Replayability across both map-side shapes: the same plan + seed must make
+// identical injection decisions and produce identical output on two runs of
+// each cell — a fused map side (the Map streams into the bucket sinks) and a
+// .Cache()d one (a fusion barrier, so the map side materializes and then
+// buckets) — and both cells must agree on the (sorted) result. Injector
+// stats are compared field by field EXCEPT points_observed: the
+// kSchedulerRound probe fires once per scheduler retry round, and the number
+// of rounds a stage needs is timing-dependent even when every injection
+// decision is identical.
 TEST_F(SlowLinkTest, SeedDeterminismAcrossFusionGrid) {
   constexpr int kPairs = 2000;
   constexpr int kMaps = 8;
   constexpr int kReduces = 4;
 
-  auto run_cell = [&](bool fusion, bool merge_reduce, FaultInjector::Stats* stats_out) {
-    EngineHarness h{EngineHarnessOptions{.shuffle_fusion = fusion,
-                                         .shuffle_merge_reduce = merge_reduce}};
+  auto run_cell = [&](bool cache_map_side, FaultInjector::Stats* stats_out) {
+    EngineHarness h;
     FaultPlan plan;  // seed = 42 (FaultPlan default)
     plan.events.push_back(SlowLinkAt(EnginePoint::kSchedulerRound, /*after_hits=*/0,
                                      /*node_ordinal=*/0, /*slow_factor=*/4.0,
                                      /*duration_seconds=*/30.0));
     FaultInjector injector(&h.cluster(), plan);
+    std::vector<std::pair<int, int>> data;
+    data.reserve(kPairs);
+    for (int i = 0; i < kPairs; ++i) {
+      data.emplace_back(i % 64, 1);
+    }
+    auto map_side = Parallelize(&h.ctx(), data, kMaps).Map([](const std::pair<int, int>& kv) {
+      return std::make_pair(kv.first, kv.second * 2);
+    });
+    if (cache_map_side) {
+      map_side.Cache();
+    }
     Status status;
     std::vector<std::pair<int, int>> got;
     {
       ProbeGuard guard(&h.ctx(), &injector);
-      got = WideCounts(&h.ctx(), kPairs, /*keys=*/64, kMaps, kReduces, &status);
+      auto out = ReduceByKey(map_side, kReduces, [](int a, int b) { return a + b; }).Collect();
+      status = out.status();
+      if (out.ok()) {
+        got = std::move(*out);
+      }
     }
     EXPECT_TRUE(status.ok()) << status.ToString();
+    if (cache_map_side) {
+      EXPECT_EQ(h.ctx().counters().shuffle_fused_bucket_chains.load(), 0u);
+      EXPECT_GT(h.ctx().counters().shuffle_rows_bucketed_unfused.load(), 0u);
+    } else {
+      EXPECT_GT(h.ctx().counters().shuffle_fused_bucket_chains.load(), 0u);
+    }
     if (stats_out != nullptr) {
       *stats_out = injector.GetStats();
     }
+    std::sort(got.begin(), got.end());
     return got;
   };
 
   std::vector<std::pair<int, int>> grid_reference;
-  for (bool fusion : {false, true}) {
-    for (bool merge_reduce : {false, true}) {
-      FaultInjector::Stats a{}, b{};
-      std::vector<std::pair<int, int>> first = run_cell(fusion, merge_reduce, &a);
-      std::vector<std::pair<int, int>> second = run_cell(fusion, merge_reduce, &b);
-      EXPECT_EQ(first, second) << "fusion=" << fusion << " merge=" << merge_reduce;
-      EXPECT_EQ(a.events_fired, b.events_fired);
-      EXPECT_EQ(a.nodes_revoked, b.nodes_revoked);
-      EXPECT_EQ(a.replacements_scheduled, b.replacements_scheduled);
-      EXPECT_EQ(a.writes_failed_injected, b.writes_failed_injected);
-      EXPECT_EQ(a.reads_failed_injected, b.reads_failed_injected);
-      EXPECT_EQ(a.objects_corrupted, b.objects_corrupted);
-      EXPECT_EQ(a.ops_slowed, b.ops_slowed);
-      EXPECT_EQ(a.tasks_slowed, b.tasks_slowed);
-      EXPECT_EQ(a.tasks_hung_injected, b.tasks_hung_injected);
-      EXPECT_EQ(a.tasks_failed_injected, b.tasks_failed_injected);
-      EXPECT_EQ(a.fetches_slowed, b.fetches_slowed)
-          << "fusion=" << fusion << " merge=" << merge_reduce;
-      EXPECT_GT(a.fetches_slowed, 0u) << "fusion=" << fusion << " merge=" << merge_reduce;
-      if (grid_reference.empty()) {
-        grid_reference = first;
-      } else {
-        EXPECT_EQ(first, grid_reference)
-            << "fusion=" << fusion << " merge=" << merge_reduce;
-      }
+  for (bool cache_map_side : {false, true}) {
+    FaultInjector::Stats a{}, b{};
+    std::vector<std::pair<int, int>> first = run_cell(cache_map_side, &a);
+    std::vector<std::pair<int, int>> second = run_cell(cache_map_side, &b);
+    EXPECT_EQ(first, second) << "cache_map_side=" << cache_map_side;
+    EXPECT_EQ(a.events_fired, b.events_fired);
+    EXPECT_EQ(a.nodes_revoked, b.nodes_revoked);
+    EXPECT_EQ(a.replacements_scheduled, b.replacements_scheduled);
+    EXPECT_EQ(a.writes_failed_injected, b.writes_failed_injected);
+    EXPECT_EQ(a.reads_failed_injected, b.reads_failed_injected);
+    EXPECT_EQ(a.objects_corrupted, b.objects_corrupted);
+    EXPECT_EQ(a.ops_slowed, b.ops_slowed);
+    EXPECT_EQ(a.tasks_slowed, b.tasks_slowed);
+    EXPECT_EQ(a.tasks_hung_injected, b.tasks_hung_injected);
+    EXPECT_EQ(a.tasks_failed_injected, b.tasks_failed_injected);
+    EXPECT_EQ(a.fetches_slowed, b.fetches_slowed) << "cache_map_side=" << cache_map_side;
+    EXPECT_GT(a.fetches_slowed, 0u) << "cache_map_side=" << cache_map_side;
+    if (grid_reference.empty()) {
+      grid_reference = first;
+    } else {
+      EXPECT_EQ(first, grid_reference) << "cache_map_side=" << cache_map_side;
     }
   }
   ASSERT_EQ(grid_reference.size(), 64u);

@@ -378,31 +378,20 @@ TEST_F(StragglerTest, FusedChainBitIdenticalUnderSpeculation) {
   EXPECT_GT(h.ctx().counters().fused_chains.load(), 0u);
 }
 
-// Cross-stage quantile carry-over (SpeculationConfig::seed_from_previous_
-// stage): a stage with fewer tasks than the quorum can never arm deadlines
-// from its own samples, so it arms from the previous stage's carried P50.
-// The counter proves the seeded arming happened; the off-switch control
-// proves it is attributable to the carry-over.
+// Cross-stage quantile carry-over: a stage with fewer tasks than the quorum
+// can never arm deadlines from its own samples, so it arms from the previous
+// stage's carried P50. The counter proves the seeded arming happened; the
+// first job, which has no carried state to seed from, is the control.
 TEST_F(StragglerTest, CarriedQuantileArmsSubQuorumStage) {
-  {
-    SpeculationConfig spec = FastSpec(true);  // quorum = 3
-    EngineHarness h{EngineHarnessOptions{.speculation = spec}};
-    // First job: 12 tasks >= quorum populate the carried distribution. No
-    // carried state exists yet, so nothing is seeded.
-    ASSERT_EQ(SleepyCollect(&h.ctx(), 12, /*task_ms=*/5).size(), 12u);
-    EXPECT_EQ(h.ctx().counters().stage_quantile_seeded.load(), 0u);
-    // Second job: 2 tasks < quorum — deadlines arm from the carried P50.
-    ASSERT_EQ(SleepyCollect(&h.ctx(), 2, /*task_ms=*/5).size(), 2u);
-    EXPECT_GE(h.ctx().counters().stage_quantile_seeded.load(), 1u);
-  }
-  {
-    SpeculationConfig spec = FastSpec(true);
-    spec.seed_from_previous_stage = false;
-    EngineHarness h{EngineHarnessOptions{.speculation = spec}};
-    ASSERT_EQ(SleepyCollect(&h.ctx(), 12, /*task_ms=*/5).size(), 12u);
-    ASSERT_EQ(SleepyCollect(&h.ctx(), 2, /*task_ms=*/5).size(), 2u);
-    EXPECT_EQ(h.ctx().counters().stage_quantile_seeded.load(), 0u);
-  }
+  SpeculationConfig spec = FastSpec(true);  // quorum = 3
+  EngineHarness h{EngineHarnessOptions{.speculation = spec}};
+  // First job: 12 tasks >= quorum populate the carried distribution. No
+  // carried state exists yet, so nothing is seeded.
+  ASSERT_EQ(SleepyCollect(&h.ctx(), 12, /*task_ms=*/5).size(), 12u);
+  EXPECT_EQ(h.ctx().counters().stage_quantile_seeded.load(), 0u);
+  // Second job: 2 tasks < quorum — deadlines arm from the carried P50.
+  ASSERT_EQ(SleepyCollect(&h.ctx(), 2, /*task_ms=*/5).size(), 2u);
+  EXPECT_GE(h.ctx().counters().stage_quantile_seeded.load(), 1u);
 }
 
 // The behavioural half: a hang on a 2-task stage (sub-quorum) is only

@@ -24,14 +24,6 @@ struct EngineHarnessOptions {
   int executor_threads = 1;
   bool model_latency = false;
   EvictionMode eviction = EvictionMode::kDrop;
-  // Narrow-chain operator fusion; differential tests and the unfused
-  // benchmark baselines switch it off.
-  bool operator_fusion = true;
-  // Wide-stage pipelining: fused map-side bucketing and merge-based reduce
-  // (see EngineConfig). Differential tests toggle these to prove the fused
-  // and hash paths bit-identical.
-  bool shuffle_fusion = true;
-  bool shuffle_merge_reduce = true;
   // Lock shards per node's BlockManager (see BlockManagerConfig::num_shards).
   int block_shards = 8;
   // Fast time scale so warnings/acquisitions take milliseconds in tests.
@@ -65,9 +57,6 @@ class EngineHarness {
     dfs_->set_model_latency(options.model_latency);
     EngineConfig engine;
     engine.model_latency = options.model_latency;
-    engine.operator_fusion = options.operator_fusion;
-    engine.shuffle_fusion = options.shuffle_fusion;
-    engine.shuffle_merge_reduce = options.shuffle_merge_reduce;
     engine.block_defaults.model_latency = options.model_latency;
     engine.block_defaults.eviction = options.eviction;
     engine.block_defaults.num_shards = options.block_shards;
@@ -123,6 +112,16 @@ class EngineHarness {
   std::unique_ptr<FlintContext> ctx_;
   std::vector<NodeId> node_ids_;
 };
+
+// Marks `rdd` cached when `cache` is set and returns it, so a test can build
+// the same pipeline with and without a fusion barrier (caching is one).
+template <typename T>
+TypedRdd<T> CachedIf(TypedRdd<T> rdd, bool cache) {
+  if (cache) {
+    rdd.Cache();
+  }
+  return rdd;
+}
 
 // A trace with explicit prices, step = 1 hour by default.
 inline PriceTrace MakeTrace(std::vector<double> prices, SimDuration step = Hours(1)) {

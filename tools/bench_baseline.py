@@ -18,14 +18,6 @@ Usage:
 import json
 import sys
 
-# Headline pairs; normalize records their ratios so the acceptance bars
-# (>= 1.5x for the narrow-chain fusion work, fused >= unfused for the
-# shuffle pipelining work) are visible in the committed file.
-FUSED = "BM_NarrowChainFused/1048576/real_time"
-UNFUSED = "BM_NarrowChainUnfused/1048576/real_time"
-SHUFFLE_FUSED = "BM_ReduceByKeyFused/65536/real_time"
-SHUFFLE_UNFUSED = "BM_ReduceByKeyUnfused/65536/real_time"
-
 _NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
@@ -53,19 +45,7 @@ def normalize(raw):
         if "items_per_second" in b:
             entry["items_per_second"] = _sig3(b["items_per_second"])
         benchmarks[b["name"]] = entry
-    doc = {"schema": 1, "benchmarks": benchmarks}
-    derived = {}
-    fused = benchmarks.get(FUSED, {}).get("items_per_second")
-    unfused = benchmarks.get(UNFUSED, {}).get("items_per_second")
-    if fused and unfused:
-        derived["narrow_chain_fusion_speedup"] = _sig3(fused / unfused)
-    sfused = benchmarks.get(SHUFFLE_FUSED, {}).get("items_per_second")
-    sunfused = benchmarks.get(SHUFFLE_UNFUSED, {}).get("items_per_second")
-    if sfused and sunfused:
-        derived["shuffle_fusion_speedup"] = _sig3(sfused / sunfused)
-    if derived:
-        doc["derived"] = derived
-    return doc
+    return {"schema": 1, "benchmarks": benchmarks}
 
 
 def compare(baseline, raw, threshold):
@@ -85,13 +65,6 @@ def compare(baseline, raw, threshold):
             flag = f"  <-- regression (>{threshold:.0%} below baseline)"
             regressions.append(name)
         print(f"  {name}: {ratio:.2f}x baseline items/s{flag}")
-    derived = normalize(raw).get("derived", {})
-    speedup = derived.get("narrow_chain_fusion_speedup")
-    if speedup is not None:
-        print(f"  narrow-chain fusion speedup: {speedup:.2f}x")
-    shuffle_speedup = derived.get("shuffle_fusion_speedup")
-    if shuffle_speedup is not None:
-        print(f"  shuffle fusion speedup: {shuffle_speedup:.2f}x")
     return regressions
 
 

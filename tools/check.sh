@@ -12,6 +12,11 @@
 #
 # Legs:
 #   tier-1   cmake build + full ctest (the contract every PR must keep green).
+#   flake    the timing-sensitive suites (FtManager, Straggler, SlowLink,
+#            Placement, ShufflePath) under ctest --repeat until-fail:20 at
+#            full parallelism, so a flake surfaces here instead of at random
+#            in tier-1. HARD-FAILS on the first failing repeat. Runs in the
+#            full pass (reuses the tier-1 build tree).
 #   static   clang++ -Wthread-safety -Wthread-safety-beta -Werror syntax-only
 #            pass over every file in src/ (proves the GUARDED_BY / REQUIRES
 #            contracts in src/common/thread_annotations.h), then clang-tidy
@@ -121,6 +126,22 @@ run_tier1() {
     record tier-1 "FAIL (timeout after ${LEG_TIMEOUT}s)"
   else
     record tier-1 FAIL
+  fi
+}
+
+run_flake() {
+  local suites='FtManager|Straggler|SlowLink|Placement|ShufflePath'
+  echo "== flake: ${suites} x until-fail:20 =="
+  with_timeout ctest --test-dir build --output-on-failure -j "${JOBS}" \
+    --repeat until-fail:20 -R "${suites}"
+  local rc=$?
+  if [[ "${rc}" -eq 0 ]]; then
+    record flake pass
+  elif [[ "${rc}" -eq 124 ]]; then
+    echo "flake: WEDGED (killed after ${LEG_TIMEOUT}s)" >&2
+    record flake "FAIL (timeout after ${LEG_TIMEOUT}s)"
+  else
+    record flake FAIL
   fi
 }
 
@@ -393,6 +414,7 @@ fi
 run_tier1
 
 if [[ "${MODE}" == "--fast" ]]; then
+  record flake "skipped (--fast)"
   record static "skipped (--fast)"
   record lint "skipped (--fast)"
   record obs-trace "skipped (--fast)"
@@ -404,6 +426,7 @@ if [[ "${MODE}" == "--fast" ]]; then
   summary
 fi
 
+run_flake
 run_static
 run_lint
 run_obs_storm

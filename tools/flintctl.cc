@@ -12,14 +12,21 @@
 //
 // Policies P: batch | interactive | cheapest | stable | ondemand.
 // Workloads W: pagerank | kmeans | als | tpch.
+//
+// Flags are strict: every subcommand has a table of the flags it takes. An
+// unknown flag, `--key=value`, a value flag with no value, a malformed
+// number, or an unknown policy/workload/volatility prints the usage text and
+// exits 2.
 
+#include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "src/core/flint_cluster.h"
 #include "src/inject/fault_injector.h"
@@ -37,22 +44,133 @@
 namespace flint {
 namespace {
 
-// Minimal flag parser: --key value pairs after the subcommand.
+enum class FlagKind { kBare, kString, kInt, kDouble };
+
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+  // Allowed values of a kString flag; empty = any string.
+  std::vector<std::string> choices = {};
+};
+
+const std::vector<std::string> kPolicies = {"batch", "interactive", "cheapest", "stable",
+                                            "ondemand"};
+
+// The flags each subcommand accepts.
+const std::map<std::string, std::vector<FlagSpec>>& FlagTables() {
+  static const std::map<std::string, std::vector<FlagSpec>> tables{
+      {"markets", {{"count", FlagKind::kInt}, {"seed", FlagKind::kInt}}},
+      {"simulate",
+       {{"policy", FlagKind::kString, kPolicies},
+        {"trials", FlagKind::kInt},
+        {"fee", FlagKind::kDouble},
+        {"hours", FlagKind::kDouble},
+        {"seed", FlagKind::kInt},
+        {"no-checkpoint", FlagKind::kBare}}},
+      {"mc",
+       {{"mttf", FlagKind::kDouble},
+        {"markets", FlagKind::kInt},
+        {"trials", FlagKind::kInt},
+        {"hours", FlagKind::kDouble},
+        {"no-checkpoint", FlagKind::kBare}}},
+      {"run",
+       {{"workload", FlagKind::kString, {"pagerank", "kmeans", "als", "tpch"}},
+        {"policy", FlagKind::kString, kPolicies},
+        {"nodes", FlagKind::kInt},
+        {"failures", FlagKind::kInt},
+        {"mttf", FlagKind::kDouble},
+        {"seed", FlagKind::kInt},
+        {"no-checkpoint", FlagKind::kBare},
+        {"spec-deadline", FlagKind::kDouble},
+        {"slow-node", FlagKind::kInt},
+        {"slow-factor", FlagKind::kDouble},
+        {"fault-secs", FlagKind::kDouble},
+        {"hang-tasks", FlagKind::kInt},
+        {"hang-node", FlagKind::kInt},
+        {"flaky-node", FlagKind::kInt},
+        {"flaky-prob", FlagKind::kDouble},
+        {"slow-link", FlagKind::kInt},
+        {"link-factor", FlagKind::kDouble},
+        {"link-bandwidth", FlagKind::kDouble},
+        {"trace-out", FlagKind::kString},
+        {"metrics-out", FlagKind::kString},
+        {"trace-capacity", FlagKind::kInt}}},
+      {"trace",
+       {{"out", FlagKind::kString},
+        {"volatility", FlagKind::kString, {"calm", "moderate", "volatile", "extreme"}},
+        {"days", FlagKind::kDouble},
+        {"od", FlagKind::kDouble},
+        {"seed", FlagKind::kInt}}},
+  };
+  return tables;
+}
+
+bool ParsesAsInt(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  (void)std::strtol(s.c_str(), &end, 10);  // only the end pointer matters here
+  return !s.empty() && *end == '\0' && errno == 0;
+}
+
+bool ParsesAsDouble(const std::string& s) {
+  char* end = nullptr;
+  errno = 0;
+  (void)std::strtod(s.c_str(), &end);  // only the end pointer matters here
+  return !s.empty() && *end == '\0' && errno == 0;
+}
+
+// Flag values of one subcommand line, validated against its table by Parse.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      if (std::strncmp(argv[i], "--", 2) == 0) {
-        values_[argv[i] + 2] = argv[i + 1];
-      }
-    }
+  // Parses argv[first..argc) in one pass. Returns an empty string on
+  // success, otherwise what was wrong with the line.
+  std::string Parse(int argc, char** argv, int first, const std::vector<FlagSpec>& table) {
     for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) == 0 &&
-          (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0)) {
-        flags_.insert(argv[i] + 2);
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0 || arg.size() == 2) {
+        return "unexpected argument '" + arg + "'";
       }
+      const std::string name = arg.substr(2);
+      if (name.find('=') != std::string::npos) {
+        return "'" + arg + "': write the value as a separate argument (--key value)";
+      }
+      const FlagSpec* spec = nullptr;
+      for (const FlagSpec& f : table) {
+        if (name == f.name) {
+          spec = &f;
+        }
+      }
+      if (spec == nullptr) {
+        return "unknown flag '" + arg + "'";
+      }
+      if (spec->kind == FlagKind::kBare) {
+        bare_.insert(name);
+        continue;
+      }
+      if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
+        return "flag '" + arg + "' needs a value";
+      }
+      const std::string value = argv[++i];
+      if (spec->kind == FlagKind::kInt && !ParsesAsInt(value)) {
+        return "flag '" + arg + "' needs an integer, got '" + value + "'";
+      }
+      if (spec->kind == FlagKind::kDouble && !ParsesAsDouble(value)) {
+        return "flag '" + arg + "' needs a number, got '" + value + "'";
+      }
+      if (!spec->choices.empty()) {
+        bool known = false;
+        for (const std::string& choice : spec->choices) {
+          known = known || value == choice;
+        }
+        if (!known) {
+          return "unknown value '" + value + "' for '" + arg + "'";
+        }
+      }
+      values_[name] = value;
     }
+    return "";
   }
+
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
@@ -65,17 +183,17 @@ class Args {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
   }
-  bool Has(const std::string& flag) const { return flags_.count(flag) > 0; }
-  // Whether the flag appeared at all, with or without a value.
-  bool Given(const std::string& key) const {
-    return values_.count(key) > 0 || flags_.count(key) > 0;
-  }
+  // Whether a bare flag was given.
+  bool Has(const std::string& flag) const { return bare_.count(flag) > 0; }
+  // Whether a value flag was given.
+  bool Given(const std::string& key) const { return values_.count(key) > 0; }
 
  private:
   std::map<std::string, std::string> values_;
-  std::set<std::string> flags_;
+  std::set<std::string> bare_;
 };
 
+// `s` is one of kPolicies (Args::Parse rejects anything else).
 SelectionPolicyKind ParsePolicy(const std::string& s) {
   if (s == "interactive") {
     return SelectionPolicyKind::kFlintInteractive;
@@ -236,24 +354,23 @@ int CmdRun(const Args& args) {
                    static_cast<int>(args.GetInt("slow-link", 0)),
                    args.GetDouble("link-factor", 4.0), args.GetDouble("fault-secs", 30.0)));
   }
+  // --failures K: one warned revocation of K nodes (lowest ids first) at a
+  // scheduler round derived from the seed, so it always lands inside the job
+  // and the same seed replays it exactly. The node manager acquires the
+  // replacements, so the event schedules none of its own.
+  const int failures = static_cast<int>(args.GetInt("failures", 0));
+  const int revoke_round = static_cast<int>(1 + seed % 4);
+  if (failures > 0) {
+    FaultEvent revoke = RevokeCountAt(EnginePoint::kSchedulerRound,
+                                      /*after_hits=*/revoke_round, failures,
+                                      /*with_warning=*/true, /*delay_seconds=*/0.0);
+    revoke.replacement_count = 0;
+    straggler_plan.events.push_back(revoke);
+  }
   std::unique_ptr<FaultInjector> injector;
   if (!straggler_plan.events.empty()) {
     injector = std::make_unique<FaultInjector>(&cluster.cluster(), straggler_plan);
     cluster.ctx().SetProbe(injector.get());
-  }
-  const int failures = static_cast<int>(args.GetInt("failures", 0));
-  std::thread chaos;
-  if (failures > 0) {
-    chaos = std::thread([&cluster, failures] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(800));
-      std::vector<NodeId> victims;
-      for (const auto& node : cluster.cluster().LiveNodes()) {
-        if (static_cast<int>(victims.size()) < failures) {
-          victims.push_back(node.node_id);
-        }
-      }
-      cluster.cluster().Revoke(victims, /*with_warning=*/true);
-    });
   }
   JobReport report = cluster.RunMeasured([&workload, seed](FlintContext& ctx) -> Status {
     if (workload == "kmeans") {
@@ -310,18 +427,23 @@ int CmdRun(const Args& args) {
     }
     return r.status();
   });
+  // Whether the --failures revocation never fired: the job ended before its
+  // scheduler round, so the run did not test what was asked (exit 1).
+  bool revoke_missed = false;
   if (injector != nullptr) {
     cluster.ctx().SetProbe(nullptr);
     injector->Drain();
+    revoke_missed = failures > 0 && !injector->AllEventsFired();
     const FaultInjector::Stats fs = injector->GetStats();
-    std::printf("injected: %llu slowed, %llu hung, %llu failed, %llu fetches slowed\n",
-                static_cast<unsigned long long>(fs.tasks_slowed),
-                static_cast<unsigned long long>(fs.tasks_hung_injected),
-                static_cast<unsigned long long>(fs.tasks_failed_injected),
-                static_cast<unsigned long long>(fs.fetches_slowed));
+    std::printf(
+        "injected: %llu revoked, %llu slowed, %llu hung, %llu failed, %llu fetches slowed\n",
+        static_cast<unsigned long long>(fs.nodes_revoked),
+        static_cast<unsigned long long>(fs.tasks_slowed),
+        static_cast<unsigned long long>(fs.tasks_hung_injected),
+        static_cast<unsigned long long>(fs.tasks_failed_injected),
+        static_cast<unsigned long long>(fs.fetches_slowed));
   }
-  if (chaos.joinable()) {
-    chaos.join();
+  if (failures > 0) {
     // The injected revocations trail their warnings by the model warning
     // window; let them (and the replacement churn) land so the export shows
     // the full storm, not just its leading edge.
@@ -347,6 +469,13 @@ int CmdRun(const Args& args) {
   }
   if (!report.status.ok()) {
     std::fprintf(stderr, "job failed: %s\n", report.status.ToString().c_str());
+    return 1;
+  }
+  if (revoke_missed) {
+    std::fprintf(stderr,
+                 "flintctl run: the job ran fewer than %d scheduler rounds, so --failures "
+                 "revoked nothing; try another --seed\n",
+                 revoke_round + 1);
     return 1;
   }
   std::printf(
@@ -392,8 +521,8 @@ int Usage() {
                "usage: flintctl <markets|simulate|mc|run|trace> [--flags]\n"
                "  markets  --count N --seed S\n"
                "  simulate --policy batch|interactive|cheapest|stable|ondemand\n"
-               "           --trials N --fee F [--no-checkpoint]\n"
-               "  mc       --mttf H --markets M --trials N [--no-checkpoint]\n"
+               "           --trials N --fee F --hours H --seed S [--no-checkpoint]\n"
+               "  mc       --mttf H --markets M --trials N --hours H [--no-checkpoint]\n"
                "  run      --workload pagerank|kmeans|als|tpch --policy P\n"
                "           --nodes N --failures K --mttf H --seed S [--no-checkpoint]\n"
                "           --slow-node ORD --slow-factor F --fault-secs S\n"
@@ -411,7 +540,16 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   const std::string cmd = argv[1];
-  const Args args(argc, argv, 2);
+  const auto table = FlagTables().find(cmd);
+  if (table == FlagTables().end()) {
+    std::fprintf(stderr, "flintctl: unknown subcommand '%s'\n", cmd.c_str());
+    return Usage();
+  }
+  Args args;
+  if (const std::string error = args.Parse(argc, argv, 2, table->second); !error.empty()) {
+    std::fprintf(stderr, "flintctl %s: %s\n", cmd.c_str(), error.c_str());
+    return Usage();
+  }
   if (cmd == "markets") {
     return CmdMarkets(args);
   }
@@ -424,10 +562,7 @@ int Main(int argc, char** argv) {
   if (cmd == "run") {
     return CmdRun(args);
   }
-  if (cmd == "trace") {
-    return CmdTrace(args);
-  }
-  return Usage();
+  return CmdTrace(args);
 }
 
 }  // namespace
