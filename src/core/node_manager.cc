@@ -10,36 +10,6 @@
 
 namespace flint {
 
-NodeHealthLedger& NodeHealthLedger::Global() {
-  static NodeHealthLedger* ledger = new NodeHealthLedger();
-  return *ledger;
-}
-
-void NodeHealthLedger::Record(NodeId node, const NodeHealth& health) {
-  MutexLock lock(&mutex_);
-  health_[node] = health;
-}
-
-bool NodeHealthLedger::Lookup(NodeId node, NodeHealth* out) const {
-  ReaderMutexLock lock(&mutex_);
-  auto it = health_.find(node);
-  if (it == health_.end()) {
-    return false;
-  }
-  *out = it->second;
-  return true;
-}
-
-void NodeHealthLedger::Forget(NodeId node) {
-  MutexLock lock(&mutex_);
-  health_.erase(node);
-}
-
-void NodeHealthLedger::Reset() {
-  MutexLock lock(&mutex_);
-  health_.clear();
-}
-
 NodeManager::NodeManager(FlintContext* ctx, Marketplace* marketplace, FaultToleranceManager* ft,
                          NodeManagerConfig config)
     : ctx_(ctx),
@@ -62,24 +32,24 @@ NodeManager::NodeManager(FlintContext* ctx, Marketplace* marketplace, FaultToler
         counter("flint_node_revocations", revocations_seen_.load(std::memory_order_relaxed));
         counter("flint_node_quarantines", quarantines_.load(std::memory_order_relaxed));
         counter("flint_node_unquarantines", unquarantines_.load(std::memory_order_relaxed));
+        const std::vector<std::shared_ptr<NodeState>> live = ctx_->LiveNodeStates();
+        if (!live.empty()) {
+          double min_score = 1.0;
+          int quarantined_now = 0;
+          for (const auto& node : live) {
+            min_score = std::min(min_score, node->health_score.load(std::memory_order_relaxed));
+            if (node->quarantined.load(std::memory_order_acquire)) {
+              ++quarantined_now;
+            }
+          }
+          out.push_back({"flint_node_health_min", MetricType::kGauge, min_score});
+          out.push_back({"flint_node_quarantined_now", MetricType::kGauge,
+                         static_cast<double>(quarantined_now)});
+        }
         bool started = false;
         {
           ReaderMutexLock lock(&mutex_);
           started = started_;
-          if (!health_.empty()) {
-            double min_score = 1.0;
-            int quarantined_now = 0;
-            // min/int-count are order-independent, so hash order is safe here.
-            for (const auto& [id, h] : health_) {
-              min_score = std::min(min_score, h.score);
-              if (h.quarantined) {
-                ++quarantined_now;
-              }
-            }
-            out.push_back({"flint_node_health_min", MetricType::kGauge, min_score});
-            out.push_back({"flint_node_quarantined_now", MetricType::kGauge,
-                           static_cast<double>(quarantined_now)});
-          }
         }
         if (started) {
           out.push_back({"flint_node_total_cost", MetricType::kGauge, TotalCost()});
@@ -91,6 +61,21 @@ NodeManager::NodeManager(FlintContext* ctx, Marketplace* marketplace, FaultToler
 
 NodeManager::~NodeManager() {
   ctx_->RemoveObserver(this);
+  {
+    // Lift the live quarantines now instead of draining each decay chain to
+    // recovery (unbounded with decay_rate = 0). This manager is the only
+    // writer of quarantine marks; revoked nodes keep theirs.
+    MutexLock lock(&mutex_);
+    stopping_ = true;
+    for (const auto& node : ctx_->LiveNodeStates()) {
+      if (node->quarantined.load(std::memory_order_acquire)) {
+        LiftQuarantineLocked(
+            *node, std::max(node->health_score.load(std::memory_order_relaxed),
+                            config_.health.recover_threshold));
+      }
+    }
+  }
+  // Pending decay ticks see stopping_ and return; market revocations fire.
   timers_.Drain();
 }
 
@@ -297,14 +282,6 @@ void NodeManager::OnNodeRevoked(const NodeInfo& node) {
     // Revocation without a warning (e.g. scripted hard kill): the warning
     // path never requested a replacement, so do it now.
     need_replacement = warned_.insert(node.node_id).second;
-    // The node is gone but its record isn't: park the final health in the
-    // process-wide ledger so a re-acquired id inherits its history instead
-    // of starting back at a perfect score.
-    auto hit = health_.find(node.node_id);
-    if (hit != health_.end()) {
-      NodeHealthLedger::Global().Record(node.node_id, hit->second);
-      health_.erase(hit);
-    }
   }
   if (need_replacement) {
     ProvisionReplacement(node.market);
@@ -324,9 +301,6 @@ void NodeManager::OnNodeAdded(const NodeInfo& node) {
 }
 
 void NodeManager::OnTaskAttemptFinished(NodeId node, double seconds, bool success) {
-  if (!config_.health.enabled) {
-    return;
-  }
   double sample = 0.0;
   if (success) {
     MutexLock lock(&mutex_);
@@ -342,16 +316,10 @@ void NodeManager::OnTaskAttemptFinished(NodeId node, double seconds, bool succes
 }
 
 void NodeManager::OnTaskDeadlineMiss(NodeId node) {
-  if (!config_.health.enabled) {
-    return;
-  }
   AddHealthSample(node, 0.0);
 }
 
 void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) {
-  if (!config_.health.enabled) {
-    return;
-  }
   // A link-slow fetch indicts the producing node the same way a deadline
   // miss does: its NIC, not its CPU, is the bottleneck, but scheduling onto
   // it hurts just the same. Healthy samples fold in the observed ratio so a
@@ -374,135 +342,91 @@ void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) 
       selector_.RecordObservedThroughput(market, std::clamp(throughput_ratio, 0.01, 1.0));
     }
   }
-  const bool was_quarantined = Quarantined(node);
-  AddHealthSample(node, sample);
-  if (slow && !was_quarantined && Quarantined(node)) {
+  if (AddHealthSample(node, sample) && slow) {
     Tracer::Global().RecordInstant("link_quarantine", "net",
                                    {{"node", static_cast<double>(node)},
                                     {"score", HealthScore(node)}});
   }
 }
 
-NodeHealth& NodeManager::HealthLocked(NodeId node) {
-  auto [it, inserted] = health_.try_emplace(node);
-  if (inserted) {
-    // First touch in this manager's lifetime: inherit whatever a previous
-    // life (earlier manager, earlier lease of the same id) recorded.
-    NodeHealthLedger::Global().Lookup(node, &it->second);
-  }
-  return it->second;
-}
-
-void NodeManager::AddHealthSample(NodeId node, double sample) {
+bool NodeManager::AddHealthSample(NodeId node, double sample) {
   const NodeHealthConfig& hc = config_.health;
-  bool want_quarantine = false;
-  double score = 1.0;
-  {
-    MutexLock lock(&mutex_);
-    NodeHealth& h = HealthLocked(node);
-    h.score = (1.0 - hc.ewma_alpha) * h.score + hc.ewma_alpha * sample;
-    ++h.samples;
-    score = h.score;
-    if (!h.quarantined && h.samples >= hc.min_samples && h.score < hc.quarantine_threshold) {
-      h.quarantined = true;  // tentative until the context accepts it
-      want_quarantine = true;
-    }
-    NodeHealthLedger::Global().Record(node, h);
+  std::shared_ptr<NodeState> state = ctx_->GetNodeState(node);
+  MutexLock lock(&mutex_);
+  if (state == nullptr || state->revoked.load(std::memory_order_acquire)) {
+    return false;  // unknown, or revoked: the record is frozen
   }
-  // Publish every sample so PickNode's weighting tracks degradation long
-  // before (and after) the quarantine threshold.
-  ctx_->SetNodeHealthScore(node, score);
-  if (want_quarantine) {
-    ApplyQuarantine(node, score);
+  // Published on every sample so PickNode's weighting tracks degradation
+  // long before (and after) the quarantine threshold.
+  const double prev = state->health_score.load(std::memory_order_relaxed);
+  const double score = (1.0 - hc.ewma_alpha) * prev + hc.ewma_alpha * sample;
+  state->health_score.store(score, std::memory_order_relaxed);
+  const int samples = state->health_samples.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (state->quarantined.load(std::memory_order_acquire) || samples < hc.min_samples ||
+      score >= hc.quarantine_threshold) {
+    return false;
   }
+  return ApplyQuarantineLocked(*state, score);
 }
 
-void NodeManager::ApplyQuarantine(NodeId node, double score) {
-  if (ctx_->SetNodeQuarantined(node, true)) {
-    quarantines_.fetch_add(1, std::memory_order_relaxed);
-    FLINT_ILOG() << "node " << node << " quarantined (health score " << score << ")";
-    Tracer::Global().RecordInstant("node_quarantined", "cluster",
-                                   {{"node", static_cast<double>(node)}, {"score", score}});
-    timers_.ScheduleAfter(WallDuration(config_.health.decay_interval_seconds),
-                          [this, node] { DecayHealth(node); });
-    return;
+bool NodeManager::ApplyQuarantineLocked(NodeState& state, double score) {
+  const NodeId node = state.info.node_id;
+  if (!ctx_->SetNodeQuarantined(node, true)) {
+    // Refused: this is the last schedulable node. Lift the score to the
+    // threshold so the next bad sample retries instead of hammering the
+    // context on every completion.
+    state.health_score.store(std::max(score, config_.health.quarantine_threshold),
+                             std::memory_order_relaxed);
+    return false;
   }
-  // Refused: this is the last schedulable node. Roll the mark back and lift
-  // the score to the threshold so the next bad sample retries instead of
-  // hammering the context on every completion.
-  double lifted = config_.health.quarantine_threshold;
-  {
-    MutexLock lock(&mutex_);
-    auto it = health_.find(node);
-    if (it != health_.end()) {
-      it->second.quarantined = false;
-      it->second.score = std::max(it->second.score, config_.health.quarantine_threshold);
-      lifted = it->second.score;
-      NodeHealthLedger::Global().Record(node, it->second);
-    }
-  }
-  ctx_->SetNodeHealthScore(node, lifted);
+  quarantines_.fetch_add(1, std::memory_order_relaxed);
+  FLINT_ILOG() << "node " << node << " quarantined (health score " << score << ")";
+  Tracer::Global().RecordInstant("node_quarantined", "cluster",
+                                 {{"node", static_cast<double>(node)}, {"score", score}});
+  timers_.ScheduleAfter(WallDuration(config_.health.decay_interval_seconds),
+                        [this, node] { DecayHealth(node); });
+  return true;
+}
+
+void NodeManager::LiftQuarantineLocked(NodeState& state, double score) {
+  const NodeId node = state.info.node_id;
+  state.health_score.store(score, std::memory_order_relaxed);
+  // Require a fresh run of bad samples before re-quarantining.
+  state.health_samples.store(0, std::memory_order_relaxed);
+  ctx_->SetNodeQuarantined(node, false);
+  unquarantines_.fetch_add(1, std::memory_order_relaxed);
+  FLINT_ILOG() << "node " << node << " recovered from quarantine (health score " << score << ")";
+  Tracer::Global().RecordInstant("node_unquarantined", "cluster",
+                                 {{"node", static_cast<double>(node)}, {"score", score}});
 }
 
 void NodeManager::DecayHealth(NodeId node) {
   const NodeHealthConfig& hc = config_.health;
-  bool recovered = false;
-  double score = 1.0;
-  {
-    MutexLock lock(&mutex_);
-    auto it = health_.find(node);
-    if (it == health_.end() || !it->second.quarantined) {
-      return;  // revoked or already lifted
-    }
-    NodeHealth& h = it->second;
-    h.score += hc.decay_rate * (1.0 - h.score);
-    score = h.score;
-    if (h.score >= hc.recover_threshold) {
-      h.quarantined = false;
-      // Require a fresh run of bad samples before re-quarantining.
-      h.samples = 0;
-      recovered = true;
-    }
-    NodeHealthLedger::Global().Record(node, h);
+  std::shared_ptr<NodeState> state = ctx_->GetNodeState(node);
+  MutexLock lock(&mutex_);
+  if (stopping_ || state == nullptr || state->revoked.load(std::memory_order_acquire) ||
+      !state->quarantined.load(std::memory_order_acquire)) {
+    return;  // torn down, revoked (record frozen) or already lifted
   }
-  ctx_->SetNodeHealthScore(node, score);
-  if (recovered) {
-    ctx_->SetNodeQuarantined(node, false);
-    unquarantines_.fetch_add(1, std::memory_order_relaxed);
-    FLINT_ILOG() << "node " << node << " recovered from quarantine (health score " << score
-                 << ")";
-    Tracer::Global().RecordInstant("node_unquarantined", "cluster",
-                                   {{"node", static_cast<double>(node)}, {"score", score}});
-  } else {
-    timers_.ScheduleAfter(WallDuration(hc.decay_interval_seconds),
-                          [this, node] { DecayHealth(node); });
+  double score = state->health_score.load(std::memory_order_relaxed);
+  score += hc.decay_rate * (1.0 - score);
+  if (score >= hc.recover_threshold) {
+    LiftQuarantineLocked(*state, score);
+    return;
   }
+  state->health_score.store(score, std::memory_order_relaxed);
+  timers_.ScheduleAfter(WallDuration(hc.decay_interval_seconds),
+                        [this, node] { DecayHealth(node); });
 }
 
 double NodeManager::HealthScore(NodeId node) const {
-  {
-    ReaderMutexLock lock(&mutex_);
-    auto it = health_.find(node);
-    if (it != health_.end()) {
-      return it->second.score;
-    }
-  }
-  // Not yet touched in this manager's lifetime: report the ledger's view so
-  // a re-acquired flaky node reads as suspect before its first new sample.
-  NodeHealth prior;
-  return NodeHealthLedger::Global().Lookup(node, &prior) ? prior.score : 1.0;
+  std::shared_ptr<NodeState> state = ctx_->GetNodeState(node);
+  return state != nullptr ? state->health_score.load(std::memory_order_relaxed) : 1.0;
 }
 
 bool NodeManager::Quarantined(NodeId node) const {
-  {
-    ReaderMutexLock lock(&mutex_);
-    auto it = health_.find(node);
-    if (it != health_.end()) {
-      return it->second.quarantined;
-    }
-  }
-  NodeHealth prior;
-  return NodeHealthLedger::Global().Lookup(node, &prior) && prior.quarantined;
+  std::shared_ptr<NodeState> state = ctx_->GetNodeState(node);
+  return state != nullptr && state->quarantined.load(std::memory_order_acquire);
 }
 
 double NodeManager::TotalCost() const {

@@ -36,44 +36,16 @@ namespace flint {
 // scores ~0.125), a failure or deadline miss contributes 0. Nodes whose
 // score sinks below quarantine_threshold (after min_samples) are excluded
 // from scheduling — a reversible drain — and recover by timer-driven decay
-// back toward 1.0, rejoining once the score passes recover_threshold.
+// back toward 1.0, rejoining once the score passes recover_threshold. The
+// score, sample count and quarantine mark live on the node's NodeState;
+// the manager only applies this policy to them.
 struct NodeHealthConfig {
-  bool enabled = true;
   double ewma_alpha = 0.3;            // weight of the newest sample
   double quarantine_threshold = 0.35; // quarantine below this score
   double recover_threshold = 0.7;     // un-quarantine once decay reaches this
   int min_samples = 4;                // samples before quarantine can trigger
   double decay_interval_seconds = 0.25;  // quarantined-score recovery tick
   double decay_rate = 0.15;           // score += rate * (1 - score) per tick
-};
-
-// One node's EWMA health state (see NodeHealthConfig).
-struct NodeHealth {
-  double score = 1.0;
-  int samples = 0;
-  bool quarantined = false;
-};
-
-// Process-wide health ledger keyed by node id. Health history must outlive
-// any one NodeManager: a transient node whose link or CPU proved sick stays
-// suspect when a later manager (or a later job in the same process)
-// re-acquires the same node id, instead of starting back at a perfect score
-// and burning another min_samples' worth of slow tasks to rediscover it.
-class NodeHealthLedger {
- public:
-  static NodeHealthLedger& Global();
-
-  // Records `node`'s current health (write-through from NodeManager).
-  void Record(NodeId node, const NodeHealth& health);
-  // Copies the recorded health for `node` into `out`; false if never seen.
-  bool Lookup(NodeId node, NodeHealth* out) const;
-  // Drops one node's history / all history (test isolation).
-  void Forget(NodeId node);
-  void Reset();
-
- private:
-  mutable Mutex mutex_{"NodeHealthLedger::mutex_"};
-  std::unordered_map<NodeId, NodeHealth> health_ GUARDED_BY(mutex_);
 };
 
 struct NodeManagerConfig {
@@ -123,8 +95,9 @@ class NodeManager : public EngineObserver {
   std::vector<MarketId> ExcludedMarkets() const;
   const ServerSelector& selector() const { return selector_; }
 
-  // Current EWMA health score of `node` (1.0 when unknown) and whether the
-  // health scorer holds it in quarantine.
+  // Current EWMA health score of `node` and whether the health scorer holds
+  // it in quarantine, read from its live or retired NodeState (1.0 / false
+  // for an unknown id). A revoked node's record is frozen at revocation.
   double HealthScore(NodeId node) const;
   bool Quarantined(NodeId node) const;
 
@@ -156,16 +129,18 @@ class NodeManager : public EngineObserver {
   double CloseLeaseCost(LeaseRecord& rec, SimTime end) REQUIRES(mutex_);
   // Folds one health sample (1.0 = healthy, 0.0 = failure/miss) into the
   // node's EWMA and quarantines it when the score sinks below threshold.
-  void AddHealthSample(NodeId node, double sample);
-  // This manager's view of `node`'s health, seeded from the process-wide
-  // ledger on first touch so prior-life history carries over.
-  NodeHealth& HealthLocked(NodeId node) REQUIRES(mutex_);
-  // Actually excludes `node` from scheduling (outside mutex_: the context's
-  // node lock orders after ours) and arms the recovery decay timer. Rolls
-  // the mark back if the context refuses (last schedulable node).
-  void ApplyQuarantine(NodeId node, double score);
+  // Returns whether this sample imposed a quarantine.
+  bool AddHealthSample(NodeId node, double sample);
+  // Excludes `node` from scheduling and arms the recovery decay timer. If
+  // the context refuses (last schedulable node), lifts the score to the
+  // threshold instead so the next bad sample retries, and returns false.
+  bool ApplyQuarantineLocked(NodeState& state, double score) REQUIRES(mutex_);
+  // Lifts `state`'s quarantine with `score` and resets its sample count, so
+  // a fresh run of bad samples is needed before re-quarantining.
+  void LiftQuarantineLocked(NodeState& state, double score) REQUIRES(mutex_);
   // Timer tick: decays a quarantined node's score toward 1.0 and lifts the
-  // quarantine once it crosses the recovery threshold.
+  // quarantine once it crosses the recovery threshold. Stops at revocation
+  // (the record is frozen) and at teardown.
   void DecayHealth(NodeId node);
 
   FlintContext* ctx_;
@@ -188,10 +163,12 @@ class NodeManager : public EngineObserver {
   // Pending replacement node -> the market whose revocation it restores.
   std::unordered_map<NodeId, MarketId> replacement_for_ GUARDED_BY(mutex_);
   double closed_cost_ GUARDED_BY(mutex_) = 0.0;
-  // Per-node health scores plus the cluster-wide successful-runtime mean the
-  // relative-runtime samples are measured against.
-  std::unordered_map<NodeId, NodeHealth> health_ GUARDED_BY(mutex_);
+  // The cluster-wide successful-runtime mean the relative-runtime samples
+  // are measured against. mutex_ also serializes every health write, so the
+  // manager is the single writer of each NodeState's health fields.
   RunningStats runtime_stats_ GUARDED_BY(mutex_);
+  // Set at teardown: decay ticks stop rescheduling.
+  bool stopping_ GUARDED_BY(mutex_) = false;
 
   // Lease-lifecycle accounting, exported as flint_node_* metrics.
   std::atomic<uint64_t> acquisitions_{0};       // leases acquired (initial + replacement)

@@ -444,20 +444,6 @@ void FlintContext::SetNodeLinkBandwidth(NodeId id, double bytes_per_s) {
   node->link_bandwidth_bytes_per_s.store(bytes_per_s, std::memory_order_relaxed);
 }
 
-void FlintContext::RecordLinkThroughput(NodeId id, double bytes_per_s) {
-  std::shared_ptr<NodeState> node = GetNodeState(id);
-  if (node == nullptr || bytes_per_s <= 0.0) {
-    return;
-  }
-  const double alpha = config_.link_ewma_alpha;
-  double prev = node->link_throughput_ewma.load(std::memory_order_relaxed);
-  double next;
-  do {
-    next = prev <= 0.0 ? bytes_per_s : (1.0 - alpha) * prev + alpha * bytes_per_s;
-  } while (!node->link_throughput_ewma.compare_exchange_weak(prev, next,
-                                                             std::memory_order_relaxed));
-}
-
 std::shared_ptr<NodeState> FlintContext::GetNodeState(NodeId id) const {
   ReaderMutexLock lock(&nodes_mutex_);
   auto it = nodes_.find(id);

@@ -81,8 +81,6 @@ struct EngineConfig {
   // node's link when model_latency is on, so a congested NIC inflates
   // reduce-side service times the same way slow compute does.
   double default_link_bandwidth_bytes_per_s = 512.0 * kMiB;
-  // EWMA weight for a node's observed fetch throughput (link_throughput_ewma).
-  double link_ewma_alpha = 0.3;
   // Per-fetch timeout = max(fetch_timeout_min_seconds,
   // fetch_timeout_multiplier x current stage P95 service time). No stage
   // quantile yet (or multiplier <= 0) means no timeout. A pull past the
@@ -159,15 +157,20 @@ struct NodeState {
   // Set on the revocation warning: the node keeps executing (and serving its
   // cache) until revocation, but its pool stops accepting new tasks.
   std::atomic<bool> draining{false};
+  // --- node health (the only record of it; see NodeHealthConfig) ---
   // Set by the node-health scorer: the node is alive and keeps its cache,
   // but the scheduler stops placing new attempts on it until the score
-  // recovers. Unlike draining, quarantine is reversible.
+  // recovers. Unlike draining, quarantine is reversible. A revoked node
+  // keeps its final mark.
   std::atomic<bool> quarantined{false};
-  // EWMA health score pushed by the NodeManager's scorer (1 = healthy,
+  // EWMA health score folded by the NodeManager's scorer (1 = healthy,
   // 0 = failing every attempt). Weights PickNode's smooth weighted
   // round-robin so a degraded-but-unbenched node draws proportionally fewer
-  // tasks. Plain store/load; single-writer (the scorer).
+  // tasks. Plain store/load; single-writer (the scorer, under its mutex).
   std::atomic<double> health_score{1.0};
+  // Samples folded into health_score since the node joined or last left
+  // quarantine; gates quarantine on NodeHealthConfig::min_samples.
+  std::atomic<int> health_samples{0};
   // Smooth-weighted-round-robin credit for PickNode. Only the scheduler
   // thread (serialized by job_mutex_) mutates it; atomic so readers
   // (metrics, tests) need no lock.
@@ -180,10 +183,6 @@ struct NodeState {
   // EngineConfig::default_link_bandwidth_bytes_per_s; tests override per
   // node via SetNodeLinkBandwidth to model heterogeneous fleets.
   std::atomic<double> link_bandwidth_bytes_per_s{512.0 * 1024.0 * 1024.0};
-  // EWMA of observed fetch throughput over this node's link (bytes/s); 0
-  // until the first pull completes. Folded by reduce-side tasks with a CAS
-  // loop, read by telemetry and market costing.
-  std::atomic<double> link_throughput_ewma{0.0};
 };
 
 class FlintContext : public ClusterListener {
@@ -251,16 +250,13 @@ class FlintContext : public ClusterListener {
   // Refuses to quarantine the last schedulable node — something must keep
   // accepting tasks — and returns whether the change was applied.
   bool SetNodeQuarantined(NodeId id, bool quarantined);
-  // Publishes the health scorer's EWMA score for `id` (clamped to [0, 1])
-  // onto its NodeState so placement can weight by it. Unknown ids are
-  // ignored (the node raced a revocation).
+  // Overrides `id`'s health score (clamped to [0, 1]), the weight placement
+  // reads; tests use it to model a degraded node without a scorer. Unknown
+  // ids are ignored.
   void SetNodeHealthScore(NodeId id, double score);
   // Overrides `id`'s modelled NIC capacity (bytes/s). Unknown ids are
   // ignored. Tests use this to model heterogeneous fleets.
   void SetNodeLinkBandwidth(NodeId id, double bytes_per_s);
-  // Folds one observed fetch throughput sample (bytes/s) into `node`'s
-  // link_throughput_ewma with EngineConfig::link_ewma_alpha.
-  void RecordLinkThroughput(NodeId node, double bytes_per_s);
   // Blocks until at least one live node accepts new tasks; accumulates
   // acquisition wait.
   void WaitForLiveNode();

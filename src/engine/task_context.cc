@@ -242,12 +242,6 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
   const double effective = capacity > 0.0 ? capacity / factor : 0.0;
   counters.net_fetches.fetch_add(1, std::memory_order_relaxed);
   counters.net_fetch_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  // The throughput this pull observes over the producer's link; folded into
-  // the link EWMA whether or not the wait itself is modelled, so market
-  // costing sees degraded links even in fast test runs.
-  if (effective > 0.0) {
-    ctx_->RecordLinkThroughput(producer, effective);
-  }
   const double transfer_s =
       (cfg.model_latency && effective > 0.0) ? static_cast<double>(bytes) / effective : 0.0;
   const bool timed_out = timeout_seconds > 0.0 && transfer_s > timeout_seconds;

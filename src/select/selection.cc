@@ -62,8 +62,8 @@ void ServerSelector::RecordObservedThroughput(MarketId id, double ratio) {
   MutexLock lock(&link_mutex_);
   auto [it, inserted] = link_ewma_.try_emplace(id, clamped);
   if (!inserted) {
-    it->second =
-        (1.0 - config_.link_ewma_alpha) * it->second + config_.link_ewma_alpha * clamped;
+    const double alpha = config_.throughput_ewma_alpha;
+    it->second = (1.0 - alpha) * it->second + alpha * clamped;
   }
 }
 

@@ -53,7 +53,7 @@ struct SelectionConfig {
   int max_markets_in_mix = 8;
   // Weight of the newest observed link-throughput sample in the per-market
   // EWMA (RecordObservedThroughput).
-  double link_ewma_alpha = 0.3;
+  double throughput_ewma_alpha = 0.3;
 };
 
 // Application profile the cost model needs, in model hours.

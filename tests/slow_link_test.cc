@@ -69,14 +69,11 @@ class ProbeGuard {
 };
 
 // Slow-link scenarios double as a lock-order regression net: the fetch path
-// adds link-EWMA updates and health-ledger write-throughs on top of the
+// adds link-health samples and quarantine marks on top of the
 // engine/injector/node-manager locking.
 class SlowLinkTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Node ids restart at 0 per harness, so the process-wide health ledger
-    // would otherwise leak scores from earlier tests into this one.
-    NodeHealthLedger::Global().Reset();
     was_enabled_ = SetMutexDebug(true);
     violations_before_ = GetLockOrderViolations().size();
   }
@@ -455,11 +452,10 @@ TEST_F(SlowLinkTest, SeedDeterminismAcrossFusionGrid) {
   ASSERT_EQ(grid_reference.size(), 64u);
 }
 
-// The health ledger must outlive any one NodeManager: a node quarantined for
-// flaking stays suspect after it is revoked and its manager torn down, so a
-// rebuilt manager re-seeing the same node id starts from the parked history
-// instead of a perfect score. Pre-ledger, revocation (and manager teardown)
-// erased the history.
+// A node's health record outlives any one NodeManager: a node quarantined
+// for flaking stays suspect after it is revoked and its manager torn down,
+// because the context keeps the revoked node's NodeState, frozen at
+// revocation, and a rebuilt manager reads health from there.
 TEST_F(SlowLinkTest, QuarantinePersistsAcrossNodeManagerRebuilds) {
   EngineHarness h{EngineHarnessOptions{.speculation = FastSpec(true)}};
   Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
@@ -467,7 +463,7 @@ TEST_F(SlowLinkTest, QuarantinePersistsAcrossNodeManagerRebuilds) {
   NodeManagerConfig nm_cfg;
   nm_cfg.health.min_samples = 3;
   nm_cfg.health.decay_interval_seconds = 0.02;  // see the acceptance test
-  nm_cfg.health.decay_rate = 0.01;
+  nm_cfg.health.decay_rate = 0.0;  // decay is not under test; keep the mark until the revoke
   const NodeId victim = h.node_ids().front();
 
   {
@@ -492,26 +488,46 @@ TEST_F(SlowLinkTest, QuarantinePersistsAcrossNodeManagerRebuilds) {
     }
     ASSERT_TRUE(nm_a.Quarantined(victim)) << "score " << nm_a.HealthScore(victim);
 
-    // Revocation parks (not erases) the final health in the ledger and ends
-    // the victim's decay chain, so nm_a tears down promptly.
+    // Revocation retires (not erases) the victim's NodeState and freezes
+    // its health record: the decay chain stops and teardown keeps the mark.
     h.cluster().Revoke({victim}, /*with_warning=*/false);
     h.cluster().DrainEvents();
-    NodeHealth parked;
-    ASSERT_TRUE(NodeHealthLedger::Global().Lookup(victim, &parked));
-    EXPECT_TRUE(parked.quarantined);
-    EXPECT_LT(parked.score, nm_cfg.health.quarantine_threshold);
-  }  // nm_a destroyed; only the ledger remembers the victim now
+    const std::shared_ptr<NodeState> retired = h.ctx().GetNodeState(victim);
+    ASSERT_NE(retired, nullptr);
+    EXPECT_TRUE(retired->revoked.load());
+    EXPECT_TRUE(retired->quarantined.load());
+    EXPECT_LT(retired->health_score.load(), nm_cfg.health.quarantine_threshold);
+  }  // nm_a destroyed; only the retired NodeState remembers the victim now
 
-  // A rebuilt manager has no local samples for the victim, but its accessors
-  // fall back to the ledger: the node is still quarantined, still suspect.
+  // A rebuilt manager reads the retired record: the node is still
+  // quarantined, still suspect.
   NodeManager nm_b(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
   EXPECT_TRUE(nm_b.Quarantined(victim));
   EXPECT_LT(nm_b.HealthScore(victim), nm_cfg.health.quarantine_threshold);
+}
 
-  // Forgetting the node restores the clean-slate default.
-  NodeHealthLedger::Global().Forget(victim);
-  EXPECT_FALSE(nm_b.Quarantined(victim));
+// Health is per context: node ids restart at 0 in every harness, and a
+// quarantine in one must not leak into another's node with the same id.
+TEST_F(SlowLinkTest, HealthDoesNotLeakAcrossContexts) {
+  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
+                     /*on_demand_price=*/1.0, /*seed=*/7);
+  NodeManagerConfig nm_cfg;
+  nm_cfg.health.min_samples = 3;
+  nm_cfg.health.decay_interval_seconds = 0.02;
+  nm_cfg.health.decay_rate = 0.5;
+  EngineHarness h_a;
+  NodeManager nm_a(&h_a.ctx(), &market, /*ft=*/nullptr, nm_cfg);
+  const NodeId victim = h_a.node_ids().front();
+  for (int i = 0; i < 8 && !nm_a.Quarantined(victim); ++i) {
+    nm_a.OnTaskDeadlineMiss(victim);
+  }
+  ASSERT_TRUE(nm_a.Quarantined(victim)) << "score " << nm_a.HealthScore(victim);
+
+  EngineHarness h_b;
+  ASSERT_EQ(h_b.node_ids().front(), victim);
+  NodeManager nm_b(&h_b.ctx(), &market, /*ft=*/nullptr, nm_cfg);
   EXPECT_EQ(nm_b.HealthScore(victim), 1.0);
+  EXPECT_FALSE(nm_b.Quarantined(victim));
 }
 
 // Concurrency hammer over the shuffle map-output tracker: registrations,

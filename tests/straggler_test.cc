@@ -18,6 +18,7 @@
 #include "src/engine/typed_rdd_ops.h"
 #include "src/inject/fault_injector.h"
 #include "src/market/marketplace.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 // Sanitizers stretch compute (but not sleeps) unpredictably, which breaks
@@ -68,9 +69,6 @@ class ProbeGuard {
 class StragglerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Node ids restart at 0 per harness, so the process-wide health ledger
-    // would otherwise leak scores from earlier tests into this one.
-    NodeHealthLedger::Global().Reset();
     was_enabled_ = SetMutexDebug(true);
     violations_before_ = GetLockOrderViolations().size();
   }
@@ -279,16 +277,45 @@ TEST_F(StragglerTest, FlakyNodeQuarantinedThenRecovered) {
     EXPECT_GT(h.ctx().counters().task_retries.load(), 0u);
   }
   EXPECT_LT(nm.HealthScore(victim), 1.0);
+  // The quarantine count, not the live flag: decay may already have lifted
+  // the quarantine by the time the job returns.
+  EXPECT_GT(MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines"), 0.0)
+      << "health scorer never quarantined the flaky node";
 
   // The quarantine must lift by decay within a generous bound (ticks are
   // 20 ms; recovery needs two).
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  bool was_quarantined = nm.Quarantined(victim);
   while (nm.Quarantined(victim) && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  EXPECT_TRUE(was_quarantined) << "health scorer never quarantined the flaky node";
   EXPECT_FALSE(nm.Quarantined(victim));
+}
+
+// Teardown lifts a live quarantine instead of waiting for decay to recover
+// the node: with decay_rate = 0 the decay chain would never end, yet the
+// manager's destruction returns and the node takes tasks again.
+TEST_F(StragglerTest, TeardownLiftsQuarantineWithoutDecay) {
+  EngineHarness h;
+  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
+                     /*on_demand_price=*/1.0, /*seed=*/7);
+  NodeManagerConfig nm_cfg;
+  nm_cfg.health.min_samples = 3;
+  nm_cfg.health.decay_interval_seconds = 0.02;
+  nm_cfg.health.decay_rate = 0.0;
+  const NodeId victim = h.node_ids().front();
+  {
+    NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
+    for (int i = 0; i < 8 && !nm.Quarantined(victim); ++i) {
+      nm.OnTaskDeadlineMiss(victim);
+    }
+    ASSERT_TRUE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
+  }  // must return although decay can never lift the quarantine
+  const std::shared_ptr<NodeState> state = h.ctx().GetNodeState(victim);
+  ASSERT_NE(state, nullptr);
+  EXPECT_FALSE(state->quarantined.load());
+  const auto schedulable = h.ctx().SchedulableNodeStates();
+  EXPECT_TRUE(std::any_of(schedulable.begin(), schedulable.end(),
+                          [victim](const auto& n) { return n->info.node_id == victim; }));
 }
 
 // Composition: speculation stays correct when a whole-cluster revocation

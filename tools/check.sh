@@ -440,7 +440,9 @@ run_obs_slowlink
 # cancellation, duplicate completions, and health-driven quarantine.
 # SlowLink*/ShuffleConc* hammer the hardened fetch path: concurrent
 # Fetch/RegisterShuffle/OnNodeRevoked plus retry/recompute under kSlowLink.
-run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:DfsFault*:Mutex*:Obs*'
+# HealthPlacement* races PickNode's reads of a NodeState's health score
+# against the scorer's writes to the same record.
+run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:DfsFault*:Mutex*:Obs*:HealthPlacement*'
 run_sanitizer asan address build-asan 'FtManagerTest*:CheckpointPolicyMath*:DfsFault*:Mutex*'
 run_sanitizer ubsan undefined build-ubsan 'FaultInject*:DfsFault*:FtManagerTest*:CheckpointPolicyMath*:Mutex*'
 
