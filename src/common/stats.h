@@ -1,8 +1,8 @@
 // Small statistics toolkit: running moments, streaming quantiles, percentiles,
 // ECDF, Pearson correlation, and mean aggregations. Used by the trace analyzer
 // (MTTF, correlation heatmaps), the selection policies (variance of running
-// time), the scheduler's straggler deadlines (streaming P50/P95 of task
-// runtimes), and the benchmark harnesses (reporting).
+// time), the scheduler's straggler deadlines (streaming P50 of task
+// service times), and the benchmark harnesses (reporting).
 
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
@@ -41,7 +41,7 @@ class RunningStats {
 // observations have arrived (it interpolates over the stored sorted five),
 // then maintains five markers whose heights approximate the quantile. Used by
 // the DAG scheduler to derive per-task speculation deadlines from the running
-// P50/P95 of attempt runtimes within a stage.
+// P50 of attempt service times within a stage.
 class P2Quantile {
  public:
   // `q` in (0, 1), e.g. 0.5 for the median, 0.95 for the tail.

@@ -62,11 +62,10 @@ NodeManager::NodeManager(FlintContext* ctx, Marketplace* marketplace, FaultToler
 NodeManager::~NodeManager() {
   ctx_->RemoveObserver(this);
   {
-    // Lift the live quarantines now instead of draining each decay chain to
-    // recovery (unbounded with decay_rate = 0). This manager is the only
-    // writer of quarantine marks; revoked nodes keep theirs.
+    // Lift the live quarantines now: decay only runs on samples this manager
+    // folds, so nothing else would. This manager is the only writer of
+    // quarantine marks; revoked nodes keep theirs.
     MutexLock lock(&mutex_);
-    stopping_ = true;
     for (const auto& node : ctx_->LiveNodeStates()) {
       if (node->quarantined.load(std::memory_order_acquire)) {
         LiftQuarantineLocked(
@@ -75,7 +74,7 @@ NodeManager::~NodeManager() {
       }
     }
   }
-  // Pending decay ticks see stopping_ and return; market revocations fire.
+  // Pending market revocations fire.
   timers_.Drain();
 }
 
@@ -300,23 +299,8 @@ void NodeManager::OnNodeAdded(const NodeInfo& node) {
   PruneRevokedLocked(Now());
 }
 
-void NodeManager::OnTaskAttemptFinished(NodeId node, double seconds, bool success) {
-  double sample = 0.0;
-  if (success) {
-    MutexLock lock(&mutex_);
-    // Relative-runtime sample: a node matching the cluster mean scores ~1, a
-    // node k times slower scores ~1/k. The first sample (no mean yet) and
-    // instantaneous runtimes count as healthy.
-    sample = (seconds <= 0.0 || runtime_stats_.count() == 0)
-                 ? 1.0
-                 : std::clamp(runtime_stats_.mean() / seconds, 0.0, 1.0);
-    runtime_stats_.Add(seconds);
-  }
-  AddHealthSample(node, sample);
-}
-
-void NodeManager::OnTaskDeadlineMiss(NodeId node) {
-  AddHealthSample(node, 0.0);
+void NodeManager::OnTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) {
+  AddHealthSample(node, sample, stage_p50_seconds);
 }
 
 void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) {
@@ -342,20 +326,22 @@ void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) 
       selector_.RecordObservedThroughput(market, std::clamp(throughput_ratio, 0.01, 1.0));
     }
   }
-  if (AddHealthSample(node, sample) && slow) {
+  if (AddHealthSample(node, sample, /*stage_p50_seconds=*/0.0) && slow) {
     Tracer::Global().RecordInstant("link_quarantine", "net",
                                    {{"node", static_cast<double>(node)},
                                     {"score", HealthScore(node)}});
   }
 }
 
-bool NodeManager::AddHealthSample(NodeId node, double sample) {
+bool NodeManager::AddHealthSample(NodeId node, double sample, double stage_p50_seconds) {
   const NodeHealthConfig& hc = config_.health;
   std::shared_ptr<NodeState> state = ctx_->GetNodeState(node);
   MutexLock lock(&mutex_);
   if (state == nullptr || state->revoked.load(std::memory_order_acquire)) {
     return false;  // unknown, or revoked: the record is frozen
   }
+  // Recovery is counted in samples, so it replays with the run.
+  DecayQuarantinedLocked();
   // Published on every sample so PickNode's weighting tracks degradation
   // long before (and after) the quarantine threshold.
   const double prev = state->health_score.load(std::memory_order_relaxed);
@@ -366,10 +352,11 @@ bool NodeManager::AddHealthSample(NodeId node, double sample) {
       score >= hc.quarantine_threshold) {
     return false;
   }
-  return ApplyQuarantineLocked(*state, score);
+  return ApplyQuarantineLocked(*state, score, sample, stage_p50_seconds);
 }
 
-bool NodeManager::ApplyQuarantineLocked(NodeState& state, double score) {
+bool NodeManager::ApplyQuarantineLocked(NodeState& state, double score, double sample,
+                                        double stage_p50_seconds) {
   const NodeId node = state.info.node_id;
   if (!ctx_->SetNodeQuarantined(node, true)) {
     // Refused: this is the last schedulable node. Lift the score to the
@@ -382,9 +369,10 @@ bool NodeManager::ApplyQuarantineLocked(NodeState& state, double score) {
   quarantines_.fetch_add(1, std::memory_order_relaxed);
   FLINT_ILOG() << "node " << node << " quarantined (health score " << score << ")";
   Tracer::Global().RecordInstant("node_quarantined", "cluster",
-                                 {{"node", static_cast<double>(node)}, {"score", score}});
-  timers_.ScheduleAfter(WallDuration(config_.health.decay_interval_seconds),
-                        [this, node] { DecayHealth(node); });
+                                 {{"node", static_cast<double>(node)},
+                                  {"score", score},
+                                  {"sample", sample},
+                                  {"stage_p50_s", stage_p50_seconds}});
   return true;
 }
 
@@ -400,23 +388,20 @@ void NodeManager::LiftQuarantineLocked(NodeState& state, double score) {
                                  {{"node", static_cast<double>(node)}, {"score", score}});
 }
 
-void NodeManager::DecayHealth(NodeId node) {
+void NodeManager::DecayQuarantinedLocked() {
   const NodeHealthConfig& hc = config_.health;
-  std::shared_ptr<NodeState> state = ctx_->GetNodeState(node);
-  MutexLock lock(&mutex_);
-  if (stopping_ || state == nullptr || state->revoked.load(std::memory_order_acquire) ||
-      !state->quarantined.load(std::memory_order_acquire)) {
-    return;  // torn down, revoked (record frozen) or already lifted
+  for (const auto& node : ctx_->LiveNodeStates()) {
+    if (!node->quarantined.load(std::memory_order_acquire)) {
+      continue;
+    }
+    double score = node->health_score.load(std::memory_order_relaxed);
+    score += hc.decay_rate * (1.0 - score);
+    if (score >= hc.recover_threshold) {
+      LiftQuarantineLocked(*node, score);
+    } else {
+      node->health_score.store(score, std::memory_order_relaxed);
+    }
   }
-  double score = state->health_score.load(std::memory_order_relaxed);
-  score += hc.decay_rate * (1.0 - score);
-  if (score >= hc.recover_threshold) {
-    LiftQuarantineLocked(*state, score);
-    return;
-  }
-  state->health_score.store(score, std::memory_order_relaxed);
-  timers_.ScheduleAfter(WallDuration(hc.decay_interval_seconds),
-                        [this, node] { DecayHealth(node); });
 }
 
 double NodeManager::HealthScore(NodeId node) const {

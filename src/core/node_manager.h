@@ -21,7 +21,6 @@
 #include "src/checkpoint/ft_manager.h"
 #include "src/cluster/timer_queue.h"
 #include "src/common/mutex.h"
-#include "src/common/stats.h"
 #include "src/common/thread_annotations.h"
 #include "src/engine/context.h"
 #include "src/engine/observer.h"
@@ -30,22 +29,23 @@
 
 namespace flint {
 
-// Node-health scoring (DESIGN.md "Straggler mitigation"). Every finished
-// task attempt updates an EWMA health score per node: a success contributes
-// its runtime relative to the cluster mean (a node 8x slower than its peers
-// scores ~0.125), a failure or deadline miss contributes 0. Nodes whose
+// Node-health scoring (DESIGN.md "Straggler mitigation"). Every health
+// sample the scheduler computes (EngineObserver::OnTaskHealthSample: a
+// success scores its stage's P50 over its service time, so a node 8x slower
+// than the stage scores ~0.125; a failure or deadline miss scores 0) and
+// every link sample updates an EWMA health score per node. Nodes whose
 // score sinks below quarantine_threshold (after min_samples) are excluded
-// from scheduling — a reversible drain — and recover by timer-driven decay
-// back toward 1.0, rejoining once the score passes recover_threshold. The
-// score, sample count and quarantine mark live on the node's NodeState;
-// the manager only applies this policy to them.
+// from scheduling — a reversible drain. Every sample folded, from any node,
+// decays each quarantined node's score toward 1.0, and a node rejoins once
+// its score passes recover_threshold, so recovery replays by sample count,
+// not by wall clock. The score, sample count and quarantine mark live on
+// the node's NodeState; the manager only applies this policy to them.
 struct NodeHealthConfig {
   double ewma_alpha = 0.3;            // weight of the newest sample
   double quarantine_threshold = 0.35; // quarantine below this score
   double recover_threshold = 0.7;     // un-quarantine once decay reaches this
   int min_samples = 4;                // samples before quarantine can trigger
-  double decay_interval_seconds = 0.25;  // quarantined-score recovery tick
-  double decay_rate = 0.15;           // score += rate * (1 - score) per tick
+  double decay_rate = 0.15;           // score += rate * (1 - score) per sample folded
 };
 
 struct NodeManagerConfig {
@@ -105,8 +105,7 @@ class NodeManager : public EngineObserver {
   void OnNodeWarning(const NodeInfo& node) override;
   void OnNodeRevoked(const NodeInfo& node) override;
   void OnNodeAdded(const NodeInfo& node) override;
-  void OnTaskAttemptFinished(NodeId node, double seconds, bool success) override;
-  void OnTaskDeadlineMiss(NodeId node) override;
+  void OnTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) override;
   void OnLinkSample(NodeId node, double throughput_ratio, bool slow) override;
 
  private:
@@ -127,21 +126,25 @@ class NodeManager : public EngineObserver {
   void ScheduleMarketRevocation(NodeId node, SimTime revocation_time);
   // Mutates a LeaseRecord living inside leases_.
   double CloseLeaseCost(LeaseRecord& rec, SimTime end) REQUIRES(mutex_);
-  // Folds one health sample (1.0 = healthy, 0.0 = failure/miss) into the
-  // node's EWMA and quarantines it when the score sinks below threshold.
-  // Returns whether this sample imposed a quarantine.
-  bool AddHealthSample(NodeId node, double sample);
-  // Excludes `node` from scheduling and arms the recovery decay timer. If
-  // the context refuses (last schedulable node), lifts the score to the
-  // threshold instead so the next bad sample retries, and returns false.
-  bool ApplyQuarantineLocked(NodeState& state, double score) REQUIRES(mutex_);
+  // Folds one health sample (1.0 = healthy, 0.0 = failure/miss) into a
+  // live node's EWMA, after one decay step for every node already
+  // quarantined, and quarantines the node when its score sinks below
+  // threshold. `stage_p50_seconds` is the reference a task sample was taken
+  // against (0 for link samples); it is traced with the quarantine. Returns
+  // whether this sample imposed a quarantine.
+  bool AddHealthSample(NodeId node, double sample, double stage_p50_seconds);
+  // Excludes `state` from scheduling. If the context refuses (last
+  // schedulable node), lifts the score to the threshold instead so the next
+  // bad sample retries, and returns false.
+  bool ApplyQuarantineLocked(NodeState& state, double score, double sample,
+                             double stage_p50_seconds) REQUIRES(mutex_);
   // Lifts `state`'s quarantine with `score` and resets its sample count, so
   // a fresh run of bad samples is needed before re-quarantining.
   void LiftQuarantineLocked(NodeState& state, double score) REQUIRES(mutex_);
-  // Timer tick: decays a quarantined node's score toward 1.0 and lifts the
-  // quarantine once it crosses the recovery threshold. Stops at revocation
-  // (the record is frozen) and at teardown.
-  void DecayHealth(NodeId node);
+  // One recovery step per folded sample: decays every live quarantined
+  // node's score toward 1.0 and lifts those reaching recover_threshold.
+  // Revoked nodes keep their frozen record.
+  void DecayQuarantinedLocked() REQUIRES(mutex_);
 
   FlintContext* ctx_;
   Marketplace* marketplace_;
@@ -149,6 +152,8 @@ class NodeManager : public EngineObserver {
   NodeManagerConfig config_;
   ServerSelector selector_;
 
+  // Also serializes every health write, so the manager is the single writer
+  // of each NodeState's health fields.
   mutable Mutex mutex_{"NodeManager::mutex_"};
   // Atomic, not mutex_-guarded: Now() is called while mutex_ is already held
   // (cost accounting) as well as lock-free from the timer thread.
@@ -163,12 +168,6 @@ class NodeManager : public EngineObserver {
   // Pending replacement node -> the market whose revocation it restores.
   std::unordered_map<NodeId, MarketId> replacement_for_ GUARDED_BY(mutex_);
   double closed_cost_ GUARDED_BY(mutex_) = 0.0;
-  // The cluster-wide successful-runtime mean the relative-runtime samples
-  // are measured against. mutex_ also serializes every health write, so the
-  // manager is the single writer of each NodeState's health fields.
-  RunningStats runtime_stats_ GUARDED_BY(mutex_);
-  // Set at teardown: decay ticks stop rescheduling.
-  bool stopping_ GUARDED_BY(mutex_) = false;
 
   // Lease-lifecycle accounting, exported as flint_node_* metrics.
   std::atomic<uint64_t> acquisitions_{0};       // leases acquired (initial + replacement)
@@ -179,7 +178,7 @@ class NodeManager : public EngineObserver {
   std::atomic<uint64_t> quarantines_{0};        // health quarantines imposed
   std::atomic<uint64_t> unquarantines_{0};      // health quarantines lifted
 
-  TimerQueue timers_;
+  TimerQueue timers_;  // market-driven revocations
 
   // Exports the counters above plus cost gauges; declared last so it unhooks
   // before the state it reads is torn down.

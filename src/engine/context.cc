@@ -93,7 +93,6 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
         AppendCounter(out, "flint_net_fetches", c.net_fetches.load());
         AppendCounter(out, "flint_net_fetch_bytes", c.net_fetch_bytes.load());
         AppendCounter(out, "flint_net_fetches_slow", c.net_fetches_slow.load());
-        AppendCounter(out, "flint_net_fetch_retries", c.net_fetch_retries.load());
         AppendCounter(out, "flint_net_fetch_recomputes", c.net_fetch_recomputes.load());
         AppendGauge(out, "flint_net_fetch_wait_seconds",
                     static_cast<double>(c.net_fetch_wait_nanos.load()) * 1e-9);
@@ -772,15 +771,9 @@ void FlintContext::NotifyPartitionComputed(const RddPtr& rdd, int partition, dou
   }
 }
 
-void FlintContext::NotifyTaskAttemptFinished(NodeId node, double seconds, bool success) {
+void FlintContext::NotifyTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) {
   for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnTaskAttemptFinished(node, seconds, success);
-  }
-}
-
-void FlintContext::NotifyTaskDeadlineMiss(NodeId node) {
-  for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnTaskDeadlineMiss(node);
+    obs->OnTaskHealthSample(node, sample, stage_p50_seconds);
   }
 }
 

@@ -35,21 +35,23 @@ class TaskContext;
 class DagScheduler;
 
 // Straggler mitigation (DESIGN.md "Straggler mitigation"). The scheduler
-// tracks per-stage task-runtime quantiles; once `quorum` attempts of a stage
-// have finished, every outstanding attempt gets a deadline of
-// max(min_deadline_seconds, spec_multiplier x stage P50). An attempt past
-// its deadline gets a speculative duplicate on a different node; first
-// success wins and the loser is cancelled cooperatively. Failed attempts are
-// retried with exponential backoff up to max_attempts_per_task before the
-// stage surfaces the last error, and the stage watchdog bounds the whole
-// loop so a hung cluster turns into a clean kDeadlineExceeded.
+// tracks each stage's P50 task service time, the engine's one measure of
+// "slow": live once `quorum` attempts of the stage have finished, carried
+// from the previous stage before that. It arms
+// T = max(min_deadline_seconds, spec_multiplier x stage P50), which is both
+// every outstanding attempt's deadline and the per-pull shuffle-fetch
+// timeout. An attempt past T gets a speculative duplicate on a different
+// node; first success wins and the loser is cancelled cooperatively. Failed
+// attempts are retried with exponential backoff up to max_attempts_per_task
+// before the stage surfaces the last error, and the stage watchdog bounds
+// the whole loop so a hung cluster turns into a clean kDeadlineExceeded.
 struct SpeculationConfig {
   bool enabled = true;
   // Completed attempts of the stage required before deadlines arm (the
   // quantile estimate is noise below this).
   int quorum = 3;
-  double spec_multiplier = 3.0;     // deadline = spec_multiplier x stage P50
-  double min_deadline_seconds = 0.2;  // deadline floor for very short stages
+  double spec_multiplier = 3.0;     // T = spec_multiplier x stage P50
+  double min_deadline_seconds = 0.2;  // floor on T for very short stages
   // Attempts per task slot (including the first) before the stage gives up
   // and surfaces the last failure. Revocation-killed attempts do not count.
   int max_attempts_per_task = 4;
@@ -80,18 +82,11 @@ struct EngineConfig {
   // pulls charge bytes / (capacity / slow_factor) against the PRODUCING
   // node's link when model_latency is on, so a congested NIC inflates
   // reduce-side service times the same way slow compute does.
+  // A pull slower than the running stage's T (SpeculationConfig) is
+  // abandoned at T, classified link-slow (feeding the producer's health
+  // EWMA), and the producer's outputs are dropped so lineage recomputes
+  // them on a healthy node. No armed stage P50 means no timeout.
   double default_link_bandwidth_bytes_per_s = 512.0 * kMiB;
-  // Per-fetch timeout = max(fetch_timeout_min_seconds,
-  // fetch_timeout_multiplier x current stage P95 service time). No stage
-  // quantile yet (or multiplier <= 0) means no timeout. A pull past the
-  // timeout is abandoned mid-transfer, classified link-slow (feeding the
-  // producer's health EWMA), and retried with exponential backoff; an
-  // exhausted retry budget drops the producer's outputs and falls back to
-  // lineage recomputation on a healthy node.
-  double fetch_timeout_multiplier = 4.0;
-  double fetch_timeout_min_seconds = 0.05;
-  int fetch_retry_limit = 2;                  // retries after the first timed-out pull
-  double fetch_retry_backoff_seconds = 0.01;  // doubles per retry
 };
 
 // Monotonic counters for experiment reporting. All fields are cumulative
@@ -142,7 +137,6 @@ struct EngineCounters {
   std::atomic<uint64_t> net_fetches{0};           // per-producer pulls charged
   std::atomic<uint64_t> net_fetch_bytes{0};       // bytes pulled over node links
   std::atomic<uint64_t> net_fetches_slow{0};      // pulls that blew the fetch timeout
-  std::atomic<uint64_t> net_fetch_retries{0};     // timed-out pulls retried with backoff
   std::atomic<uint64_t> net_fetch_recomputes{0};  // fetches that fell back to recompute
   std::atomic<int64_t> net_fetch_wait_nanos{0};   // modelled transfer time charged
 };
@@ -309,22 +303,22 @@ class FlintContext : public ClusterListener {
   void NotifyPartitionComputed(const RddPtr& rdd, int partition, double seconds);
   void ChargeOriginRead(uint64_t bytes) const;
   // Straggler telemetry fan-out to observers (node-health scorer).
-  void NotifyTaskAttemptFinished(NodeId node, double seconds, bool success);
-  void NotifyTaskDeadlineMiss(NodeId node);
+  void NotifyTaskHealthSample(NodeId node, double sample, double stage_p50_seconds);
   // Link telemetry fan-out: a shuffle pull over `node`'s link was classified
   // (ratio = observed bytes/s over modelled capacity, clamped to [0, 1];
   // slow = the pull blew the fetch timeout). Feeds the health scorer.
   void NotifyLinkSample(NodeId node, double throughput_ratio, bool slow);
 
-  // --- stage service-time quantiles (published by the stage loop) ---
-  // The running stage's live (or carried) P50/P95 service times in seconds;
-  // 0 until a stage first arms. Fetch timeouts derive from the P95.
-  void PublishStageQuantiles(double p50_seconds, double p95_seconds) {
-    stage_p50_seconds_.store(p50_seconds, std::memory_order_relaxed);
-    stage_p95_seconds_.store(p95_seconds, std::memory_order_relaxed);
+  // --- the running stage's T (published by the stage loop) ---
+  // max(min_deadline_seconds, spec_multiplier x stage P50) in seconds: the
+  // task deadline, read here as the per-pull fetch timeout. 0 while no
+  // stage P50 is armed.
+  void PublishStageDeadline(double seconds) {
+    stage_deadline_seconds_.store(seconds, std::memory_order_relaxed);
   }
-  double StageP50Seconds() const { return stage_p50_seconds_.load(std::memory_order_relaxed); }
-  double StageP95Seconds() const { return stage_p95_seconds_.load(std::memory_order_relaxed); }
+  double StageDeadlineSeconds() const {
+    return stage_deadline_seconds_.load(std::memory_order_relaxed);
+  }
 
   // --- fault-injection probe (src/inject/) ---
   // At most one probe; set before running jobs, clear with nullptr. The
@@ -403,11 +397,9 @@ class FlintContext : public ClusterListener {
   std::atomic<int> round_robin_{0};
   std::atomic<EngineProbe*> probe_{nullptr};
 
-  // Running stage's service-time quantiles (seconds); see
-  // PublishStageQuantiles. Written by the scheduler thread, read by
-  // reduce-side tasks deriving fetch timeouts.
-  std::atomic<double> stage_p50_seconds_{0.0};
-  std::atomic<double> stage_p95_seconds_{0.0};
+  // Running stage's T (seconds); see PublishStageDeadline. Written by the
+  // scheduler thread, read by reduce-side tasks as their fetch timeout.
+  std::atomic<double> stage_deadline_seconds_{0.0};
 
   // Checkpoint write tracking: in-flight path claims (prevents double
   // writes) and the per-RDD metadata of durably written partitions, consumed

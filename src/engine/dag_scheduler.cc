@@ -18,7 +18,7 @@
 #include "src/engine/task_context.h"
 #include "src/obs/trace.h"
 
-// flint-lint: allow-file(det-wallclock) deadlines, backoff, and service-time quantiles are wall-clock by design; task payloads never read the clock
+// flint-lint: allow-file(det-wallclock) deadlines, backoff, and the stage P50 service time are wall-clock by design; task payloads never read the clock
 
 namespace flint {
 
@@ -249,24 +249,52 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   // storm that floods the cluster with duplicates.
   std::unordered_map<NodeId, WallTime> node_progress;
 
-  // Streaming quantiles over winning-attempt service times: completion minus
+  // Streaming P50 over winning-attempt service times: completion minus
   // max(submission, the node's previous completion), i.e. the slice of wall
-  // clock the task actually occupied its node, not its wait in queue. P50
-  // drives the speculation deadline once `quorum` wins have been observed;
-  // P95 rides along for telemetry.
+  // clock the task actually occupied its node, not its wait in queue. It is
+  // the engine's one measure of "slow": it arms T (the task deadline and the
+  // fetch timeout) and is the reference every health sample is taken
+  // against.
   P2Quantile p50(0.5);
-  P2Quantile p95(0.95);
-  // Cross-stage carry-over: until the in-stage estimate reaches quorum,
-  // deadlines may arm from the previous stage's P50 (carried_p50_), so short
-  // stages — fewer tasks than the quorum — still get straggler protection.
+  // Cross-stage carry-over: until the in-stage estimate reaches quorum, T
+  // may arm from the previous stage's P50 (carried_p50_), so short stages —
+  // fewer tasks than the quorum — still get straggler protection.
   const bool seed_available =
       spec_cfg.enabled && carried_count_ >= static_cast<size_t>(spec_cfg.quorum);
   bool seed_counted = false;
-  // The fetch-timeout quantiles mirror deadline arming: carried values stand
-  // in until the live estimate reaches quorum; with neither, timeouts stay
-  // disarmed (published 0) rather than trusting a stale stage's shape.
-  ctx_->PublishStageQuantiles(seed_available ? carried_p50_ : 0.0,
-                              seed_available ? carried_p95_ : 0.0);
+  // The armed stage P50: live once `quorum` wins are in, carried before
+  // that, nullopt with neither (no deadlines, no fetch timeouts, healthy
+  // samples) rather than trusting a stale stage's shape.
+  auto armed_p50 = [&]() -> std::optional<double> {
+    if (spec_cfg.enabled && static_cast<int>(p50.count()) >= spec_cfg.quorum) {
+      return p50.value();
+    }
+    if (seed_available) {
+      return carried_p50_;
+    }
+    return std::nullopt;
+  };
+  auto deadline_for = [&spec_cfg](double p50_seconds) {
+    return std::max(spec_cfg.min_deadline_seconds, spec_cfg.spec_multiplier * p50_seconds);
+  };
+  auto publish_deadline = [&] {
+    const std::optional<double> armed = armed_p50();
+    ctx_->PublishStageDeadline(armed ? deadline_for(*armed) : 0.0);
+  };
+  // Judges one finished attempt for the node-health scorer:
+  // clamp(P50 / service time, 0, 1) for a success (1.0 while no P50 is
+  // armed), 0 for a failure or deadline miss.
+  auto report_health = [&](NodeId node, bool healthy, double service_seconds) {
+    const std::optional<double> armed = armed_p50();
+    double sample = 0.0;
+    if (healthy) {
+      sample = (!armed || service_seconds <= 0.0)
+                   ? 1.0
+                   : std::clamp(*armed / service_seconds, 0.0, 1.0);
+    }
+    ctx_->NotifyTaskHealthSample(node, sample, armed.value_or(0.0));
+  };
+  publish_deadline();
 
   auto outcomes = std::make_shared<OutcomeQueue>();
 
@@ -296,7 +324,6 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       // times are suspect.
       if (p50.count() > 0) {
         carried_p50_ = p50.value();
-        carried_p95_ = p95.value();
         carried_count_ = p50.count();
       }
       return Status::Ok();
@@ -414,20 +441,15 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       WallTime wake = watchdog_on ? stage_deadline : now + ToClockDuration(1.0);
       const bool live_quorum =
           spec_cfg.enabled && static_cast<int>(p50.count()) >= spec_cfg.quorum;
-      const bool deadlines_armed = live_quorum || seed_available;
-      if (deadlines_armed && !live_quorum && !seed_counted) {
+      if (seed_available && !live_quorum && !seed_counted) {
         seed_counted = true;
         counters.stage_quantile_seeded.fetch_add(1, std::memory_order_relaxed);
         Tracer::Global().RecordInstant("stage_deadline_seeded", "scheduler",
                                        {{"carried_p50_seconds", carried_p50_},
                                         {"carried_count", static_cast<double>(carried_count_)}});
       }
-      if (deadlines_armed) {
-        // The live in-stage P50 takes over as soon as it reaches quorum;
-        // before that, the carried estimate stands in.
-        const double p50_estimate = live_quorum ? p50.value() : carried_p50_;
-        const double deadline_s = std::max(spec_cfg.min_deadline_seconds,
-                                           spec_cfg.spec_multiplier * p50_estimate);
+      if (const std::optional<double> p50_estimate = armed_p50()) {
+        const double deadline_s = deadline_for(*p50_estimate);
         const WallClock::duration deadline_dur = ToClockDuration(deadline_s);
         // An attempt's clock starts when its executor actually dequeued it
         // (the exec_start stamp). Until that stamp lands the attempt is
@@ -460,7 +482,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
           const int slot = missed.slot;
           const NodeId from_node = missed.node->info.node_id;
           counters.task_deadline_misses.fetch_add(1, std::memory_order_relaxed);
-          ctx_->NotifyTaskDeadlineMiss(from_node);
+          report_health(from_node, /*healthy=*/false, 0.0);
           SlotState& st = slots[slot];
           if (st.done || st.outstanding >= 2) {
             continue;  // already won, or already speculated
@@ -545,19 +567,15 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         if (st.done) {
           // Duplicate success: its sibling already won. Computation is
           // deterministic so the results are bit-identical; nothing to
-          // reconcile, but the node did finish a task — report it healthy.
-          ctx_->NotifyTaskAttemptFinished(node_id, seconds, true);
+          // reconcile, but the node did finish a task — judge it.
+          report_health(node_id, /*healthy=*/true, seconds);
           continue;
         }
         st.done = true;
+        // Judged against the P50 armed while it ran, before it joins it.
+        report_health(node_id, /*healthy=*/true, seconds);
         p50.Add(seconds);
-        p95.Add(seconds);
-        // Once the in-stage estimate reaches quorum it also drives the
-        // shuffle-fetch timeout (TaskContext::FetchTimeoutSeconds).
-        if (spec_cfg.enabled && static_cast<int>(p50.count()) >= spec_cfg.quorum) {
-          ctx_->PublishStageQuantiles(p50.value(), p95.value());
-        }
-        ctx_->NotifyTaskAttemptFinished(node_id, seconds, true);
+        publish_deadline();
         if (attempt.speculative) {
           counters.speculative_wins.fetch_add(1, std::memory_order_relaxed);
         }
@@ -592,7 +610,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       }
       // A genuine attempt failure (flaky node, poisoned input, user-code
       // error): penalize the node, charge the slot's budget, back off.
-      ctx_->NotifyTaskAttemptFinished(node_id, seconds, false);
+      report_health(node_id, /*healthy=*/false, seconds);
       ++st.failures;
       if (st.failures >= spec_cfg.max_attempts_per_task) {
         fatal = Status(outcome.status.code(),
@@ -617,7 +635,8 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         cancel_outstanding();
         return rec;
       }
-      progress = true;  // the producing stage was re-run; not a stall
+      publish_deadline();  // the re-run stage published its own T
+      progress = true;     // the producing stage was re-run; not a stall
     }
     if (progress) {
       stalled_rounds = 0;

@@ -8,9 +8,11 @@
 //   - everything else: retried with exponential backoff up to the per-task
 //     attempt budget, then surfaced as the stage's Status;
 //   - stragglers (slow, hung, or flaky nodes): per-task deadlines derived
-//     from streaming runtime quantiles launch speculative duplicate attempts
-//     on a different node; the first success wins and losers are cancelled
-//     cooperatively (SpeculationConfig in context.h).
+//     from the stage's streaming P50 service time launch speculative
+//     duplicate attempts on a different node; the first success wins and
+//     losers are cancelled cooperatively (SpeculationConfig in context.h).
+//     The same P50 sets the shuffle-fetch timeout and is the reference of
+//     every node-health sample the scheduler reports.
 // When every node is gone (the paper's whole-cluster revocation in batch
 // mode), the scheduler parks until the node manager supplies replacements.
 // A configurable stage watchdog bounds every stage's wall-clock time so a
@@ -121,14 +123,12 @@ class DagScheduler {
   FlintContext* ctx_;
   static constexpr int kMaxRecoveryDepth = 64;
 
-  // Service-time distribution of the most recently completed stage: a new
-  // stage arms its speculation deadlines from this before its own quantile
-  // reaches quorum, so stages with fewer tasks than the quorum still get
-  // straggler protection.
+  // P50 service time of the most recently completed stage: a new stage arms
+  // T from this before its own estimate reaches quorum, so stages with fewer
+  // tasks than the quorum still get straggler protection.
   // Only touched by the scheduler thread (jobs are serialized by
   // FlintContext::job_mutex_; nested stage loops run on the same thread).
   double carried_p50_ = 0.0;
-  double carried_p95_ = 0.0;
   size_t carried_count_ = 0;
 };
 

@@ -60,7 +60,7 @@ struct ShuffleFetchInfo {
 
 // What the probe wants done to the fetch that is about to run. A slow link
 // divides the producing node's modelled bandwidth, and a failure aborts the
-// pull with the given status (forcing the retry/recompute fallback path).
+// pull with the given status (forcing the recompute fallback path).
 struct FetchFaultDirective {
   double slow_factor = 1.0;  // divide the producer's link bandwidth (>= 1)
   Status fail;               // when non-OK, fail this pull with this status
@@ -123,21 +123,20 @@ class EngineObserver {
   virtual void OnNodeRevoked(const NodeInfo& node) { (void)node; }
 
   // --- straggler telemetry (feeds the node-health scorer) ---
-  // One task attempt finished on `node`. `success` is true only for attempts
-  // that produced a usable result; cancelled speculative losers and attempts
-  // that died with their node are not reported.
-  virtual void OnTaskAttemptFinished(NodeId node, double seconds, bool success) {
+  // The scheduler judged one task attempt on `node` against its stage's P50
+  // service time `stage_p50_seconds` (0 while none is armed). `sample` is
+  // clamp(P50 / service time, 0, 1) for a success, 1.0 while no P50 is
+  // armed, and 0 for a failure or a deadline miss. Cancelled speculative
+  // losers and attempts that died with their node are not judged.
+  virtual void OnTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) {
     (void)node;
-    (void)seconds;
-    (void)success;
+    (void)sample;
+    (void)stage_p50_seconds;
   }
-  // An attempt on `node` blew through its speculation deadline (the scheduler
-  // launched, or tried to launch, a duplicate elsewhere).
-  virtual void OnTaskDeadlineMiss(NodeId node) { (void)node; }
   // A shuffle pull over `node`'s link was classified. `throughput_ratio` is
   // observed bytes/s over the node's modelled capacity (clamped to [0,1]);
   // `slow` marks pulls that blew the fetch timeout. Feeds the same health
-  // EWMA as compute samples so a network-sick node quarantines too.
+  // EWMA as task samples so a network-sick node quarantines too.
   virtual void OnLinkSample(NodeId node, double throughput_ratio, bool slow) {
     (void)node;
     (void)throughput_ratio;

@@ -215,18 +215,6 @@ Histogram* FetchSecondsHistogram() {
 
 }  // namespace
 
-double TaskContext::FetchTimeoutSeconds() const {
-  const EngineConfig& cfg = ctx_->config();
-  if (cfg.fetch_timeout_multiplier <= 0.0) {
-    return 0.0;
-  }
-  const double p95 = ctx_->StageP95Seconds();
-  if (p95 <= 0.0) {
-    return 0.0;  // no stage quantile armed yet; nothing sane to derive from
-  }
-  return std::max(cfg.fetch_timeout_min_seconds, cfg.fetch_timeout_multiplier * p95);
-}
-
 Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double slow_factor,
                                        double timeout_seconds, int shuffle_id, int reduce_part) {
   const EngineConfig& cfg = ctx_->config();
@@ -296,93 +284,51 @@ Result<std::vector<PartitionPtr>> TaskContext::FetchShuffle(int shuffle_id, int 
   if (Cancelled()) {
     return Unavailable("node revoked");
   }
-  const EngineConfig& cfg = ctx_->config();
-  EngineCounters& counters = ctx_->counters();
-  const int max_tries = 1 + std::max(0, cfg.fetch_retry_limit);
-  NodeId slow_producer = -1;
-  Status last_timeout;
-  for (int attempt = 0; attempt < max_tries; ++attempt) {
-    if (attempt > 0) {
-      // Exponential backoff before the retry: the slow-link window may lapse,
-      // or a recovery round may land the outputs somewhere healthier.
-      counters.net_fetch_retries.fetch_add(1, std::memory_order_relaxed);
-      Tracer::Global().RecordInstant("fetch_retry", "net",
-                                     {{"shuffle", static_cast<double>(shuffle_id)},
-                                      {"reduce_part", static_cast<double>(reduce_part)},
-                                      {"attempt", static_cast<double>(attempt)},
-                                      {"producer", static_cast<double>(slow_producer)}});
-      const double backoff =
-          cfg.fetch_retry_backoff_seconds * static_cast<double>(1 << std::min(attempt - 1, 10));
-      const auto t0 = WallClock::now();
-      while (backoff > 0.0) {
+  auto fetched = ctx_->shuffles().FetchDetailed(shuffle_id, reduce_part);
+  if (!fetched.ok()) {
+    if (fetched.status().code() == StatusCode::kDataLoss) {
+      failed_shuffle_ = shuffle_id;
+    }
+    return fetched.status();
+  }
+  const double timeout = ctx_->StageDeadlineSeconds();
+  std::vector<PartitionPtr> buckets;
+  buckets.reserve(fetched->size());
+  for (auto& fb : *fetched) {
+    const uint64_t bytes = fb.bucket != nullptr ? fb.bucket->SizeBytes() : 0;
+    // Local buckets never cross the network; only remote pulls are charged
+    // against the producer's link (and visible to the fetch probe).
+    if (fb.node >= 0 && fb.node != node_id()) {
+      ShuffleFetchInfo finfo;
+      finfo.node = node_id();
+      finfo.producer = fb.node;
+      finfo.shuffle_id = shuffle_id;
+      finfo.reduce_part = reduce_part;
+      finfo.bytes = bytes;
+      const FetchFaultDirective directive = ctx_->FireFetchProbe(finfo);
+      Status pull = directive.fail.ok()
+                        ? ChargeLinkTransfer(fb.node, bytes, directive.slow_factor, timeout,
+                                             shuffle_id, reduce_part)
+                        : directive.fail;
+      if (!pull.ok()) {
         if (Cancelled()) {
-          return Unavailable("cancelled during fetch backoff");
+          return Unavailable("cancelled during shuffle fetch");  // this attempt is dead anyway
         }
-        const double elapsed = WallDuration(WallClock::now() - t0).count();
-        if (elapsed >= backoff) {
-          break;
-        }
-        std::this_thread::sleep_for(WallDuration(std::min(0.001, backoff - elapsed)));
-      }
-    }
-    auto fetched = ctx_->shuffles().FetchDetailed(shuffle_id, reduce_part);
-    if (!fetched.ok()) {
-      if (fetched.status().code() == StatusCode::kDataLoss) {
+        // A retry would wait at least T again: drop the slow producer's
+        // outputs so the scheduler's FetchFailed recovery recomputes them
+        // on a healthy node instead of refetching into the same black hole.
+        const size_t dropped = ctx_->shuffles().DropNodeOutputs(shuffle_id, fb.node);
+        ctx_->counters().net_fetch_recomputes.fetch_add(1, std::memory_order_relaxed);
         failed_shuffle_ = shuffle_id;
+        return DataLoss("shuffle " + std::to_string(shuffle_id) + " fetch from node " +
+                        std::to_string(fb.node) + " failed; dropped " +
+                        std::to_string(dropped) + " output(s) for recompute: " +
+                        pull.ToString());
       }
-      return fetched.status();
     }
-    const double timeout = FetchTimeoutSeconds();
-    Status pull = Status::Ok();
-    std::vector<PartitionPtr> buckets;
-    buckets.reserve(fetched->size());
-    for (auto& fb : *fetched) {
-      const uint64_t bytes = fb.bucket != nullptr ? fb.bucket->SizeBytes() : 0;
-      // Local buckets never cross the network; only remote pulls are charged
-      // against the producer's link (and visible to the fetch probe).
-      if (fb.node >= 0 && fb.node != node_id()) {
-        ShuffleFetchInfo finfo;
-        finfo.node = node_id();
-        finfo.producer = fb.node;
-        finfo.shuffle_id = shuffle_id;
-        finfo.reduce_part = reduce_part;
-        finfo.bytes = bytes;
-        const FetchFaultDirective directive = ctx_->FireFetchProbe(finfo);
-        if (!directive.fail.ok()) {
-          pull = directive.fail;
-          slow_producer = fb.node;
-          break;
-        }
-        pull = ChargeLinkTransfer(fb.node, bytes, directive.slow_factor, timeout, shuffle_id,
-                                  reduce_part);
-        if (!pull.ok()) {
-          slow_producer = fb.node;
-          break;
-        }
-      }
-      buckets.push_back(std::move(fb.bucket));
-    }
-    if (pull.ok()) {
-      return buckets;
-    }
-    if (pull.code() == StatusCode::kUnavailable) {
-      return pull;  // cancelled mid-transfer; this attempt is dead anyway
-    }
-    last_timeout = pull;
+    buckets.push_back(std::move(fb.bucket));
   }
-  // Retry budget exhausted against a persistently slow link: drop the slow
-  // producer's outputs so the scheduler's FetchFailed recovery recomputes
-  // them on a healthy node instead of refetching into the same black hole.
-  size_t dropped = 0;
-  if (slow_producer >= 0) {
-    dropped = ctx_->shuffles().DropNodeOutputs(shuffle_id, slow_producer);
-  }
-  counters.net_fetch_recomputes.fetch_add(1, std::memory_order_relaxed);
-  failed_shuffle_ = shuffle_id;
-  return DataLoss("shuffle " + std::to_string(shuffle_id) + " fetch from node " +
-                  std::to_string(slow_producer) + " gave up after " +
-                  std::to_string(max_tries) + " attempt(s); dropped " + std::to_string(dropped) +
-                  " output(s) for recompute: " + last_timeout.ToString());
+  return buckets;
 }
 
 }  // namespace flint

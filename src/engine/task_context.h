@@ -36,13 +36,12 @@ class TaskContext {
   // Gathers all map-output buckets of `shuffle_id` for `reduce_part`,
   // charging each remote bucket's transfer time against the PRODUCING node's
   // link (bytes / (capacity / injected slow_factor)) when latency modelling
-  // is on. A pull whose modelled transfer would blow the fetch timeout
-  // (derived from the stage's P2 quantiles, see EngineConfig) is abandoned,
-  // classified link-slow (feeding the producer's health EWMA), and retried
-  // with exponential backoff; an exhausted retry budget drops the slow
-  // producer's outputs and returns kDataLoss so the scheduler recomputes
-  // them on a healthy node. On kDataLoss, failed_shuffle() reports which
-  // shuffle must be re-run.
+  // is on. A pull whose modelled transfer would exceed the running stage's
+  // T (FlintContext::StageDeadlineSeconds) is abandoned at T and classified
+  // link-slow (feeding the producer's health EWMA); the slow producer's
+  // outputs are then dropped and kDataLoss returned so the scheduler
+  // recomputes them on a healthy node. On kDataLoss, failed_shuffle()
+  // reports which shuffle must be re-run.
   Result<std::vector<PartitionPtr>> FetchShuffle(int shuffle_id, int reduce_part);
 
   // Runs the map side of one shuffle task: produces the reduce-side buckets
@@ -75,11 +74,6 @@ class TaskContext {
   std::shared_ptr<NodeState> node_;
   CancelToken cancel_;
   int failed_shuffle_ = -1;
-
-  // Per-fetch timeout in seconds: max(fetch_timeout_min_seconds,
-  // fetch_timeout_multiplier x stage P95). 0 = no timeout (quantiles not
-  // armed yet, or timeouts disabled).
-  double FetchTimeoutSeconds() const;
 
   // Charges one remote bucket transfer against `producer`'s link. Returns
   // kDeadlineExceeded when the modelled transfer blows `timeout_seconds`

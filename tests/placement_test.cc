@@ -3,7 +3,7 @@
 // health score pushed from the NodeManager, so a degraded-but-unbenched node
 // draws proportionally less work; and attempt deadlines/service times run
 // from the executor's own execution-start stamp, so queue wait on a busy
-// node neither inflates the runtime quantiles nor counts against deadlines.
+// node neither inflates the stage P50 nor counts against deadlines or health.
 
 #include <gtest/gtest.h>
 
@@ -155,16 +155,15 @@ TEST(HealthPlacementTest, ScoreRecoveryRestoresFullShare) {
 
 // --- execution-start deadlines ---
 
-// Records the service-time samples the scheduler reports to observers; with
-// execution-start stamping these must exclude executor-queue wait.
-class ServiceTimeRecorder : public EngineObserver {
+// Records the health samples the scheduler reports to observers; with
+// execution-start stamping a task's sample must not count its queue wait.
+class HealthSampleRecorder : public EngineObserver {
  public:
-  void OnTaskAttemptFinished(NodeId node, double seconds, bool success) override {
+  void OnTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) override {
     (void)node;
-    if (success) {
-      MutexLock lock(&mutex_);
-      samples_.push_back(seconds);
-    }
+    (void)stage_p50_seconds;
+    MutexLock lock(&mutex_);
+    samples_.push_back(sample);
   }
 
   std::vector<double> samples() const {
@@ -173,18 +172,19 @@ class ServiceTimeRecorder : public EngineObserver {
   }
 
  private:
-  mutable Mutex mutex_{"ServiceTimeRecorder::mutex_"};
+  mutable Mutex mutex_{"HealthSampleRecorder::mutex_"};
   std::vector<double> samples_ GUARDED_BY(mutex_);
 };
 
 TEST(ExecStartDeadlineTest, ServiceTimesExcludeQueueWait) {
   // One single-threaded node, eight 20 ms tasks: the last task waits ~140 ms
-  // in queue but occupies the executor for only ~20 ms. Stamped service
-  // times must reflect the 20, not the 160.
+  // in queue but occupies the executor for only ~20 ms. Samples are the
+  // stage P50 over the service time, so a queue-inclusive time would read
+  // the late tasks as up to 8x slow (a sample near 1/8).
   EngineHarnessOptions options;
   options.num_nodes = 1;
   EngineHarness h(options);
-  ServiceTimeRecorder recorder;
+  HealthSampleRecorder recorder;
   h.ctx().AddObserver(&recorder);
 
   constexpr int kTasks = 8;
@@ -202,12 +202,10 @@ TEST(ExecStartDeadlineTest, ServiceTimesExcludeQueueWait) {
   const std::vector<double> samples = recorder.samples();
   ASSERT_EQ(samples.size(), static_cast<size_t>(kTasks));
 #if FLINT_TIMING_ASSERTS
-  // Every sample ~= one task's compute. Without the stamp the fallback
-  // already bounds this via node-progress, but the stamp must not regress
-  // it; 3x leaves slack for scheduling noise.
+  // Every service time ~= one task's compute, so every sample ~= 1; 1/3
+  // (a 3x-slow reading) leaves slack for scheduling noise.
   for (double s : samples) {
-    EXPECT_LT(s, 3.0 * kTaskMs / 1000.0) << "service time includes queue wait";
-    EXPECT_GT(s, 0.0);
+    EXPECT_GT(s, 1.0 / 3.0) << "health sample counts queue wait";
   }
 #endif
   // The queue-wait the stamp subtracted is now accounted explicitly. With 8

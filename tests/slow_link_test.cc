@@ -1,7 +1,7 @@
 // Network-plane scenarios (ISSUE 10): scripted kSlowLink injections exercise
-// the per-node bandwidth model, the hardened shuffle-fetch path (per-fetch
-// timeout -> bounded retry -> recompute fallback), link-driven node-health
-// quarantine, and the process-wide health ledger. The acceptance case pins
+// the per-node bandwidth model, the hardened shuffle-fetch path (a pull
+// slower than the stage's T -> recompute fallback), link-driven node-health
+// quarantine, and the per-context health record. The acceptance case pins
 // the paper-style bound: with one of eight nodes serving its shuffle output
 // over a 4x-degraded link, job latency stays within 1.6x fault-free and the
 // results match the clean run bit for bit.
@@ -170,10 +170,8 @@ TEST_F(SlowLinkTest, DegradedLinkLatencyBoundedAndQuarantined) {
     nm_cfg.health.ewma_alpha = 0.5;
     nm_cfg.health.min_samples = 2;
     nm_cfg.health.quarantine_threshold = 0.5;
-    // Fast ticks + tiny rate: the quarantine persists seconds (so the
-    // assertions below see it) while ~NodeManager's timer drain still
-    // finishes promptly once the score recovers.
-    nm_cfg.health.decay_interval_seconds = 0.02;
+    // A tiny rate keeps a quarantine standing for dozens of folded samples,
+    // longer than one job, so the assertions below see it.
     nm_cfg.health.decay_rate = 0.01;
     NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
     const NodeId victim = h.node_ids().front();
@@ -216,84 +214,27 @@ TEST_F(SlowLinkTest, DegradedLinkLatencyBoundedAndQuarantined) {
 #endif
 }
 
-// The timeout/retry half of the hardened fetch path: a 64x-degraded link
-// pushes a pull past the fetch timeout, the consumer abandons it, backs
-// off, and the retry succeeds once the fault window lapses. No recompute is
-// needed and the result matches the clean run.
-TEST_F(SlowLinkTest, FetchTimeoutRetriesThenSucceedsWhenWindowLapses) {
-  constexpr int kPairs = 12000;
-  constexpr int kMaps = 8;
-  constexpr int kReduces = 4;
-  SpeculationConfig spec = FastSpec(true);
-  // Keep quantiles published (a published stage P95 is what arms the
-  // timeout) but raise the deadline floor so millisecond tasks are never
-  // speculated — this test isolates the fetch path's own retry, not
-  // task-level duplication.
-  spec.min_deadline_seconds = 0.5;
-  // Pin the timeout at the 30 ms floor: with modelled block/DFS latencies
-  // the map stage's P95 is itself tens of milliseconds, and the default
-  // 4 x P95 term would swallow the degraded transfer. A healthy ~3 KB pull
-  // at 1 MiB/s takes ~3 ms (never trips); the 64x-degraded one takes
-  // ~190 ms (always trips).
-  const EngineHarnessOptions opts{.num_nodes = 4,
-                                  .model_latency = true,
-                                  .speculation = spec,
-                                  .link_bandwidth_bytes_per_s = 1.0 * kMiB,
-                                  .fetch_timeout_multiplier = 0.001,
-                                  .fetch_timeout_min_seconds = 0.03,
-                                  .fetch_retry_limit = 5,
-                                  .fetch_retry_backoff_seconds = 0.02};
-
-  std::vector<std::pair<int, int>> reference;
-  {
-    EngineHarness clean{opts};
-    reference = WideCounts(&clean.ctx(), kPairs, kPairs, kMaps, kReduces);
-    ASSERT_EQ(reference.size(), static_cast<size_t>(kPairs));
-  }
-
-  EngineHarness h{opts};
-  FaultPlan plan;
-  // Armed at kShuffleFetch: the window opens on the first pull and that same
-  // pull is already degraded (the injector applies the directive after
-  // arming). 120 ms outlives the first timed-out pull plus one backoff, and
-  // lapses before the retry budget runs out.
-  plan.events.push_back(SlowLinkAt(EnginePoint::kShuffleFetch, /*after_hits=*/0,
-                                   /*node_ordinal=*/0, /*slow_factor=*/64.0,
-                                   /*duration_seconds=*/0.12));
-  FaultInjector injector(&h.cluster(), plan);
-  ProbeGuard guard(&h.ctx(), &injector);
-
-  Status status;
-  std::vector<std::pair<int, int>> got = WideCounts(&h.ctx(), kPairs, kPairs, kMaps, kReduces, &status);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  EXPECT_EQ(got, reference);
-  EXPECT_TRUE(injector.AllEventsFired());
-  EXPECT_GE(injector.GetStats().fetches_slowed, 1u);
-  EXPECT_GE(h.ctx().counters().net_fetches_slow.load(), 1u);
-  EXPECT_GE(h.ctx().counters().net_fetch_retries.load(), 1u);
-  EXPECT_EQ(h.ctx().counters().net_fetch_recomputes.load(), 0u);
-}
-
-// The recompute half: the slow-link window never lapses, the retry budget
-// (one retry) exhausts, and the consumer drops the victim's outputs to force
-// the scheduler's kDataLoss recompute fallback. Timed-out pulls classify the
-// producer link-slow (zero health samples), the node manager quarantines it,
-// and the recomputed map outputs land on healthy nodes so the job completes
-// with clean-run results.
+// The recompute fallback: the slow-link window never lapses, a pull from
+// the victim outlasts the stage's T, and the consumer drops the victim's
+// outputs to force the scheduler's kDataLoss recompute fallback. Timed-out
+// pulls classify the producer link-slow (zero health samples), the node
+// manager quarantines it, and the recomputed map outputs land on healthy
+// nodes so the job completes with clean-run results.
 TEST_F(SlowLinkTest, PersistentSlowLinkFallsBackToRecompute) {
   constexpr int kPairs = 12000;
   constexpr int kMaps = 4;
   constexpr int kReduces = 4;
   SpeculationConfig spec = FastSpec(true);
-  spec.min_deadline_seconds = 0.5;  // as above: no task-level speculation
+  // Pin T at the 30 ms floor: the map stage's P50 is a few milliseconds, so
+  // 3 x P50 stays below it. A healthy ~3 KB pull at 1 MiB/s takes ~3 ms
+  // (never trips); the 64x-degraded one takes ~190 ms (always trips). T is
+  // also the task deadline, so reduce tasks stuck behind a timed-out pull
+  // may be speculated; results must stay bit-identical.
+  spec.min_deadline_seconds = 0.03;
   const EngineHarnessOptions opts{.num_nodes = 4,
                                   .model_latency = true,
                                   .speculation = spec,
-                                  .link_bandwidth_bytes_per_s = 1.0 * kMiB,
-                                  .fetch_timeout_multiplier = 0.001,  // as above: 30 ms pin
-                                  .fetch_timeout_min_seconds = 0.03,
-                                  .fetch_retry_limit = 1,
-                                  .fetch_retry_backoff_seconds = 0.01};
+                                  .link_bandwidth_bytes_per_s = 1.0 * kMiB};
 
   std::vector<std::pair<int, int>> reference;
   {
@@ -309,8 +250,7 @@ TEST_F(SlowLinkTest, PersistentSlowLinkFallsBackToRecompute) {
   nm_cfg.health.ewma_alpha = 0.5;
   nm_cfg.health.min_samples = 2;
   nm_cfg.health.quarantine_threshold = 0.5;
-  nm_cfg.health.decay_interval_seconds = 0.02;  // see the acceptance test
-  nm_cfg.health.decay_rate = 0.01;
+  nm_cfg.health.decay_rate = 0.01;  // see the acceptance test
   NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
   const NodeId victim = h.node_ids().front();
 
@@ -462,7 +402,6 @@ TEST_F(SlowLinkTest, QuarantinePersistsAcrossNodeManagerRebuilds) {
                      /*on_demand_price=*/1.0, /*seed=*/7);
   NodeManagerConfig nm_cfg;
   nm_cfg.health.min_samples = 3;
-  nm_cfg.health.decay_interval_seconds = 0.02;  // see the acceptance test
   nm_cfg.health.decay_rate = 0.0;  // decay is not under test; keep the mark until the revoke
   const NodeId victim = h.node_ids().front();
 
@@ -489,7 +428,7 @@ TEST_F(SlowLinkTest, QuarantinePersistsAcrossNodeManagerRebuilds) {
     ASSERT_TRUE(nm_a.Quarantined(victim)) << "score " << nm_a.HealthScore(victim);
 
     // Revocation retires (not erases) the victim's NodeState and freezes
-    // its health record: the decay chain stops and teardown keeps the mark.
+    // its health record: decay skips it and teardown keeps the mark.
     h.cluster().Revoke({victim}, /*with_warning=*/false);
     h.cluster().DrainEvents();
     const std::shared_ptr<NodeState> retired = h.ctx().GetNodeState(victim);
@@ -513,13 +452,12 @@ TEST_F(SlowLinkTest, HealthDoesNotLeakAcrossContexts) {
                      /*on_demand_price=*/1.0, /*seed=*/7);
   NodeManagerConfig nm_cfg;
   nm_cfg.health.min_samples = 3;
-  nm_cfg.health.decay_interval_seconds = 0.02;
   nm_cfg.health.decay_rate = 0.5;
   EngineHarness h_a;
   NodeManager nm_a(&h_a.ctx(), &market, /*ft=*/nullptr, nm_cfg);
   const NodeId victim = h_a.node_ids().front();
   for (int i = 0; i < 8 && !nm_a.Quarantined(victim); ++i) {
-    nm_a.OnTaskDeadlineMiss(victim);
+    nm_a.OnTaskHealthSample(victim, /*sample=*/0.0, /*stage_p50_seconds=*/0.0);
   }
   ASSERT_TRUE(nm_a.Quarantined(victim)) << "score " << nm_a.HealthScore(victim);
 

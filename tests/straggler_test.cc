@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "src/core/flint_cluster.h"
 #include "src/core/node_manager.h"
 #include "src/engine/typed_rdd.h"
 #include "src/engine/typed_rdd_ops.h"
@@ -249,15 +251,14 @@ TEST_F(StragglerTest, HungTaskSurfacesAsWatchdogTimeout) {
 
 // A node whose every attempt fails is quarantined by the health scorer after
 // a handful of zero samples (EWMA sinks below threshold), the job completes
-// on the remaining nodes, and timer-driven decay lifts the quarantine once
-// the score recovers.
+// on the remaining nodes, and the healthy samples of a short fault-free
+// follow-up job decay the score past the recovery threshold.
 TEST_F(StragglerTest, FlakyNodeQuarantinedThenRecovered) {
   EngineHarness h{EngineHarnessOptions{.speculation = FastSpec(true)}};
   Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
                      /*on_demand_price=*/1.0, /*seed=*/7);
   NodeManagerConfig nm_cfg;
   nm_cfg.health.min_samples = 3;
-  nm_cfg.health.decay_interval_seconds = 0.02;
   nm_cfg.health.decay_rate = 0.5;
   NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
 
@@ -265,7 +266,7 @@ TEST_F(StragglerTest, FlakyNodeQuarantinedThenRecovered) {
   FaultPlan plan;
   plan.events.push_back(FlakyNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0,
                                     /*node_ordinal=*/0, /*probability=*/1.0,
-                                    /*duration_seconds=*/0.25));
+                                    /*duration_seconds=*/30.0));
   FaultInjector injector(&h.cluster(), plan);
   {
     ProbeGuard guard(&h.ctx(), &injector);
@@ -277,39 +278,127 @@ TEST_F(StragglerTest, FlakyNodeQuarantinedThenRecovered) {
     EXPECT_GT(h.ctx().counters().task_retries.load(), 0u);
   }
   EXPECT_LT(nm.HealthScore(victim), 1.0);
-  // The quarantine count, not the live flag: decay may already have lifted
-  // the quarantine by the time the job returns.
+  // The quarantine count, not the live flag: the job's later samples may
+  // already have lifted the quarantine by the time it returns.
   EXPECT_GT(MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines"), 0.0)
       << "health scorer never quarantined the flaky node";
 
-  // The quarantine must lift by decay within a generous bound (ticks are
-  // 20 ms; recovery needs two).
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (nm.Quarantined(victim) && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_FALSE(nm.Quarantined(victim));
+  // Probe removed, so the follow-up job is fault-free. Its 16 healthy
+  // samples are far more than the two decay steps (rate 0.5) recovery needs.
+  ASSERT_EQ(SleepyCollect(&h.ctx(), 16, /*task_ms=*/1).size(), 16u);
+  EXPECT_FALSE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
 }
 
-// Teardown lifts a live quarantine instead of waiting for decay to recover
-// the node: with decay_rate = 0 the decay chain would never end, yet the
-// manager's destruction returns and the node takes tasks again.
+// Recovery replays by sample count: with the victim quarantined on zero
+// samples, every healthy sample folded for any other node is one decay step
+// (1 - score shrinks by (1 - decay_rate)), so the lift lands on exactly the
+// N-th sample, N = ceil(log((1 - R) / (1 - s)) / log(1 - r)) for quarantine
+// score s, rate r and recovery threshold R. No sleeps, no timers.
+TEST_F(StragglerTest, QuarantineLiftsAfterExactSampleCount) {
+  EngineHarness h;
+  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
+                     /*on_demand_price=*/1.0, /*seed=*/7);
+  NodeManagerConfig nm_cfg;
+  nm_cfg.health.min_samples = 3;
+  nm_cfg.health.decay_rate = 0.15;
+  nm_cfg.health.recover_threshold = 0.7;
+  NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
+  const NodeId victim = h.node_ids().front();
+  // Healthy samples rotate over the other nodes.
+  int next_sample = 0;
+  auto feed_healthy = [&] {
+    const NodeId other = h.node_ids()[1 + next_sample++ % (h.node_ids().size() - 1)];
+    nm.OnTaskHealthSample(other, /*sample=*/1.0, /*stage_p50_seconds=*/0.01);
+  };
+
+  for (int i = 0; i < 8 && !nm.Quarantined(victim); ++i) {
+    nm.OnTaskHealthSample(victim, /*sample=*/0.0, /*stage_p50_seconds=*/0.01);
+  }
+  ASSERT_TRUE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
+  const double s = nm.HealthScore(victim);
+  const double r = nm_cfg.health.decay_rate;
+  const double recover = nm_cfg.health.recover_threshold;
+  const int n = static_cast<int>(std::ceil(std::log((1.0 - recover) / (1.0 - s)) /
+                                           std::log(1.0 - r)));
+  ASSERT_GT(n, 1);
+
+  for (int i = 0; i < n - 1; ++i) {
+    feed_healthy();
+  }
+  EXPECT_TRUE(nm.Quarantined(victim)) << "lifted before sample " << n << ", score "
+                                      << nm.HealthScore(victim);
+  feed_healthy();
+  EXPECT_FALSE(nm.Quarantined(victim)) << "still quarantined after sample " << n << ", score "
+                                       << nm.HealthScore(victim);
+  EXPECT_GE(nm.HealthScore(victim), recover);
+}
+
+// Correct work is not read as slowness: a fault-free job whose stages differ
+// 40x in per-task cost (1 ms map tasks, then 40 ms reduce-side tasks) is
+// judged stage by stage, so no node is quarantined and all stay schedulable.
+TEST_F(StragglerTest, StageCostChangeIsNotReadAsSlowness) {
+  FlintOptions options;
+  options.seed = 5;
+  options.time.seconds_per_model_hour = 0.05;
+  options.engine.model_latency = false;
+  options.engine.block_defaults.model_latency = false;
+  options.dfs.write_bandwidth_bytes_per_s = 0.0;
+  options.dfs.read_bandwidth_bytes_per_s = 0.0;
+  options.nodes.cluster_size = 4;
+  options.checkpoint.policy = CheckpointPolicyKind::kNone;
+  FlintCluster cluster(options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const double quarantines_before =
+      MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines");
+
+  std::vector<std::pair<int, int>> data;
+  for (int i = 0; i < 512; ++i) {
+    data.emplace_back(i % 24, 1);
+  }
+  auto cheap = Parallelize(&cluster.ctx(), data, 128).Map([](const std::pair<int, int>& kv) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return kv;
+  });
+  auto costly = ReduceByKey(cheap, 24, [](int a, int b) { return a + b; })
+                    .Map([](const std::pair<int, int>& kv) {
+                      std::this_thread::sleep_for(std::chrono::milliseconds(40));
+                      return kv;
+                    });
+  auto out = costly.Collect();
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->size(), 24u);
+  cluster.ctx().DrainExecutors();
+
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines"),
+            quarantines_before);
+  const auto live = cluster.ctx().LiveNodeStates();
+  ASSERT_EQ(live.size(), 4u);
+  EXPECT_EQ(cluster.ctx().SchedulableNodeStates().size(), 4u);
+  for (const auto& node : live) {
+    EXPECT_FALSE(cluster.nodes().Quarantined(node->info.node_id))
+        << "node " << node->info.node_id << " score "
+        << cluster.nodes().HealthScore(node->info.node_id);
+  }
+}
+
+// Teardown lifts a live quarantine: decay runs only on samples the manager
+// folds, so with decay_rate = 0 (or simply no further samples) nothing else
+// would, yet after the manager's destruction the node takes tasks again.
 TEST_F(StragglerTest, TeardownLiftsQuarantineWithoutDecay) {
   EngineHarness h;
   Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
                      /*on_demand_price=*/1.0, /*seed=*/7);
   NodeManagerConfig nm_cfg;
   nm_cfg.health.min_samples = 3;
-  nm_cfg.health.decay_interval_seconds = 0.02;
   nm_cfg.health.decay_rate = 0.0;
   const NodeId victim = h.node_ids().front();
   {
     NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
     for (int i = 0; i < 8 && !nm.Quarantined(victim); ++i) {
-      nm.OnTaskDeadlineMiss(victim);
+      nm.OnTaskHealthSample(victim, /*sample=*/0.0, /*stage_p50_seconds=*/0.0);
     }
     ASSERT_TRUE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
-  }  // must return although decay can never lift the quarantine
+  }  // nothing but teardown can lift the quarantine now
   const std::shared_ptr<NodeState> state = h.ctx().GetNodeState(victim);
   ASSERT_NE(state, nullptr);
   EXPECT_FALSE(state->quarantined.load());

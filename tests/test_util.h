@@ -34,14 +34,9 @@ struct EngineHarnessOptions {
   // Straggler mitigation knobs (deadlines, speculative attempts, watchdog);
   // straggler tests tighten the deadlines so scenarios run in milliseconds.
   SpeculationConfig speculation{};
-  // Network plane (slow-link tests): modelled per-node NIC capacity plus the
-  // hardened fetch path's timeout/retry knobs. Negative values keep the
-  // EngineConfig defaults.
+  // Network plane (slow-link tests): modelled per-node NIC capacity. A
+  // negative value keeps the EngineConfig default.
   double link_bandwidth_bytes_per_s = -1.0;
-  double fetch_timeout_multiplier = -1.0;
-  double fetch_timeout_min_seconds = -1.0;
-  int fetch_retry_limit = -1;
-  double fetch_retry_backoff_seconds = -1.0;
 };
 
 // Owns a full engine-plane stack. Nodes are added synchronously at
@@ -64,18 +59,6 @@ class EngineHarness {
     engine.speculation = options.speculation;
     if (options.link_bandwidth_bytes_per_s >= 0.0) {
       engine.default_link_bandwidth_bytes_per_s = options.link_bandwidth_bytes_per_s;
-    }
-    if (options.fetch_timeout_multiplier >= 0.0) {
-      engine.fetch_timeout_multiplier = options.fetch_timeout_multiplier;
-    }
-    if (options.fetch_timeout_min_seconds >= 0.0) {
-      engine.fetch_timeout_min_seconds = options.fetch_timeout_min_seconds;
-    }
-    if (options.fetch_retry_limit >= 0) {
-      engine.fetch_retry_limit = options.fetch_retry_limit;
-    }
-    if (options.fetch_retry_backoff_seconds >= 0.0) {
-      engine.fetch_retry_backoff_seconds = options.fetch_retry_backoff_seconds;
     }
     ctx_ = std::make_unique<FlintContext>(cluster_.get(), dfs_.get(), engine);
     for (int i = 0; i < options.num_nodes; ++i) {

@@ -320,8 +320,10 @@ run_obs_slowlink() {
   mkdir -p "${out}"
   # One of eight nodes serves its shuffle buckets through a badly degraded
   # link for the first seconds of the run: with the modelled NIC capacity
-  # constrained to 2 MiB/s, the victim's transfers blow the quantile-derived
-  # fetch timeout while healthy pulls stay milliseconds. A second node
+  # constrained to 2 MiB/s, the victim's transfers blow the fetch timeout
+  # (the stage's T). --spec-deadline 0.01 lets T fall to 10 ms, below the
+  # 11-84 ms healthy pulls of the larger buckets, so healthy producers'
+  # pulls time out and recompute as well. A second node
   # computes 8x slow over the same window so the speculation family is
   # guaranteed alongside the link events (a degraded link alone does not
   # always push a task past its deadline). The trace must show fetches
@@ -439,7 +441,7 @@ run_obs_slowlink
 # default). Straggler* exercises speculation races: deadline scans, token
 # cancellation, duplicate completions, and health-driven quarantine.
 # SlowLink*/ShuffleConc* hammer the hardened fetch path: concurrent
-# Fetch/RegisterShuffle/OnNodeRevoked plus retry/recompute under kSlowLink.
+# Fetch/RegisterShuffle/OnNodeRevoked plus timeout/recompute under kSlowLink.
 # HealthPlacement* races PickNode's reads of a NodeState's health score
 # against the scorer's writes to the same record.
 run_sanitizer tsan thread build-tsan 'FaultInject*:Straggler*:SlowLink*:ShuffleConc*:DfsFault*:Mutex*:Obs*:HealthPlacement*'
