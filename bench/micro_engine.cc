@@ -286,4 +286,15 @@ BENCHMARK(BM_ExpectedRuntimeFactor);
 }  // namespace
 }  // namespace flint
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The build half of the host class; google-benchmark records num_cpus.
+  benchmark::AddCustomContext("build_type", MICRO_ENGINE_BUILD_TYPE);
+  benchmark::AddCustomContext("compiler", MICRO_ENGINE_COMPILER);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -299,16 +299,14 @@ void NodeManager::OnNodeAdded(const NodeInfo& node) {
   PruneRevokedLocked(Now());
 }
 
-void NodeManager::OnTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) {
-  AddHealthSample(node, sample, stage_p50_seconds);
+void NodeManager::OnTaskHealthSample(NodeId node, bool healthy, double stage_p50_seconds) {
+  AddHealthSample(node, healthy, stage_p50_seconds);
 }
 
 void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) {
   // A link-slow fetch indicts the producing node the same way a deadline
   // miss does: its NIC, not its CPU, is the bottleneck, but scheduling onto
-  // it hurts just the same. Healthy samples fold in the observed ratio so a
-  // merely-degraded link drags the score proportionally.
-  const double sample = slow ? 0.0 : std::clamp(throughput_ratio, 0.0, 1.0);
+  // it hurts just the same. A pull within its budget is a healthy verdict.
   // Charge the observed throughput against the node's market so selection
   // sees the degradation: a market full of sick links prices itself out.
   {
@@ -326,14 +324,14 @@ void NodeManager::OnLinkSample(NodeId node, double throughput_ratio, bool slow) 
       selector_.RecordObservedThroughput(market, std::clamp(throughput_ratio, 0.01, 1.0));
     }
   }
-  if (AddHealthSample(node, sample, /*stage_p50_seconds=*/0.0) && slow) {
+  if (AddHealthSample(node, /*healthy=*/!slow, /*stage_p50_seconds=*/0.0) && slow) {
     Tracer::Global().RecordInstant("link_quarantine", "net",
                                    {{"node", static_cast<double>(node)},
                                     {"score", HealthScore(node)}});
   }
 }
 
-bool NodeManager::AddHealthSample(NodeId node, double sample, double stage_p50_seconds) {
+bool NodeManager::AddHealthSample(NodeId node, bool healthy, double stage_p50_seconds) {
   const NodeHealthConfig& hc = config_.health;
   std::shared_ptr<NodeState> state = ctx_->GetNodeState(node);
   MutexLock lock(&mutex_);
@@ -342,20 +340,19 @@ bool NodeManager::AddHealthSample(NodeId node, double sample, double stage_p50_s
   }
   // Recovery is counted in samples, so it replays with the run.
   DecayQuarantinedLocked();
-  // Published on every sample so PickNode's weighting tracks degradation
-  // long before (and after) the quarantine threshold.
+  // Stepping toward the verdict keeps an all-healthy record at exactly 1.0.
   const double prev = state->health_score.load(std::memory_order_relaxed);
-  const double score = (1.0 - hc.ewma_alpha) * prev + hc.ewma_alpha * sample;
+  const double score = prev + hc.ewma_alpha * ((healthy ? 1.0 : 0.0) - prev);
   state->health_score.store(score, std::memory_order_relaxed);
   const int samples = state->health_samples.fetch_add(1, std::memory_order_relaxed) + 1;
   if (state->quarantined.load(std::memory_order_acquire) || samples < hc.min_samples ||
       score >= hc.quarantine_threshold) {
     return false;
   }
-  return ApplyQuarantineLocked(*state, score, sample, stage_p50_seconds);
+  return ApplyQuarantineLocked(*state, score, stage_p50_seconds);
 }
 
-bool NodeManager::ApplyQuarantineLocked(NodeState& state, double score, double sample,
+bool NodeManager::ApplyQuarantineLocked(NodeState& state, double score,
                                         double stage_p50_seconds) {
   const NodeId node = state.info.node_id;
   if (!ctx_->SetNodeQuarantined(node, true)) {
@@ -371,7 +368,6 @@ bool NodeManager::ApplyQuarantineLocked(NodeState& state, double score, double s
   Tracer::Global().RecordInstant("node_quarantined", "cluster",
                                  {{"node", static_cast<double>(node)},
                                   {"score", score},
-                                  {"sample", sample},
                                   {"stage_p50_s", stage_p50_seconds}});
   return true;
 }

@@ -30,16 +30,18 @@
 namespace flint {
 
 // Node-health scoring (DESIGN.md "Straggler mitigation"). Every health
-// sample the scheduler computes (EngineObserver::OnTaskHealthSample: a
-// success scores its stage's P50 over its service time, so a node 8x slower
-// than the stage scores ~0.125; a failure or deadline miss scores 0) and
-// every link sample updates an EWMA health score per node. Nodes whose
-// score sinks below quarantine_threshold (after min_samples) are excluded
-// from scheduling — a reversible drain. Every sample folded, from any node,
-// decays each quarantined node's score toward 1.0, and a node rejoins once
-// its score passes recover_threshold, so recovery replays by sample count,
-// not by wall clock. The score, sample count and quarantine mark live on
-// the node's NodeState; the manager only applies this policy to them.
+// verdict is pass/fail: a task attempt passes when it succeeds within its
+// stage's T and fails on an error or a deadline miss
+// (EngineObserver::OnTaskHealthSample); a shuffle pull fails when it
+// outlasts its budget (OnLinkSample). Each verdict steps an EWMA health
+// score per node toward 1 or 0, so a node whose verdicts all pass stays at
+// exactly 1.0. Nodes whose score sinks below quarantine_threshold (after
+// min_samples) are excluded from scheduling — a reversible drain, and the
+// score's only consumer. Every sample folded, from any node, decays each
+// quarantined node's score toward 1.0, and a node rejoins once its score
+// passes recover_threshold, so recovery replays by sample count, not by
+// wall clock. The score, sample count and quarantine mark live on the
+// node's NodeState; the manager only applies this policy to them.
 struct NodeHealthConfig {
   double ewma_alpha = 0.3;            // weight of the newest sample
   double quarantine_threshold = 0.35; // quarantine below this score
@@ -105,7 +107,7 @@ class NodeManager : public EngineObserver {
   void OnNodeWarning(const NodeInfo& node) override;
   void OnNodeRevoked(const NodeInfo& node) override;
   void OnNodeAdded(const NodeInfo& node) override;
-  void OnTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) override;
+  void OnTaskHealthSample(NodeId node, bool healthy, double stage_p50_seconds) override;
   void OnLinkSample(NodeId node, double throughput_ratio, bool slow) override;
 
  private:
@@ -126,18 +128,17 @@ class NodeManager : public EngineObserver {
   void ScheduleMarketRevocation(NodeId node, SimTime revocation_time);
   // Mutates a LeaseRecord living inside leases_.
   double CloseLeaseCost(LeaseRecord& rec, SimTime end) REQUIRES(mutex_);
-  // Folds one health sample (1.0 = healthy, 0.0 = failure/miss) into a
-  // live node's EWMA, after one decay step for every node already
-  // quarantined, and quarantines the node when its score sinks below
-  // threshold. `stage_p50_seconds` is the reference a task sample was taken
-  // against (0 for link samples); it is traced with the quarantine. Returns
-  // whether this sample imposed a quarantine.
-  bool AddHealthSample(NodeId node, double sample, double stage_p50_seconds);
+  // Folds one pass/fail verdict into a live node's EWMA, after one decay
+  // step for every node already quarantined, and quarantines the node when
+  // its score sinks below threshold. `stage_p50_seconds` is the stage P50
+  // that armed a task verdict's T (0 for link samples); it is traced with
+  // the quarantine. Returns whether this sample imposed a quarantine.
+  bool AddHealthSample(NodeId node, bool healthy, double stage_p50_seconds);
   // Excludes `state` from scheduling. If the context refuses (last
   // schedulable node), lifts the score to the threshold instead so the next
   // bad sample retries, and returns false.
-  bool ApplyQuarantineLocked(NodeState& state, double score, double sample,
-                             double stage_p50_seconds) REQUIRES(mutex_);
+  bool ApplyQuarantineLocked(NodeState& state, double score, double stage_p50_seconds)
+      REQUIRES(mutex_);
   // Lifts `state`'s quarantine with `score` and resets its sample count, so
   // a fresh run of bad samples is needed before re-quarantining.
   void LiftQuarantineLocked(NodeState& state, double score) REQUIRES(mutex_);

@@ -422,19 +422,6 @@ bool FlintContext::SetNodeQuarantined(NodeId id, bool quarantined) {
   return true;
 }
 
-void FlintContext::SetNodeHealthScore(NodeId id, double score) {
-  std::shared_ptr<NodeState> node;
-  {
-    ReaderMutexLock lock(&nodes_mutex_);
-    auto it = nodes_.find(id);
-    if (it == nodes_.end()) {
-      return;
-    }
-    node = it->second;
-  }
-  node->health_score.store(std::clamp(score, 0.0, 1.0), std::memory_order_relaxed);
-}
-
 void FlintContext::SetNodeLinkBandwidth(NodeId id, double bytes_per_s) {
   std::shared_ptr<NodeState> node = GetNodeState(id);
   if (node == nullptr || bytes_per_s <= 0.0) {
@@ -771,9 +758,9 @@ void FlintContext::NotifyPartitionComputed(const RddPtr& rdd, int partition, dou
   }
 }
 
-void FlintContext::NotifyTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) {
+void FlintContext::NotifyTaskHealthSample(NodeId node, bool healthy, double stage_p50_seconds) {
   for (EngineObserver* obs : ObserversSnapshot()) {
-    obs->OnTaskHealthSample(node, sample, stage_p50_seconds);
+    obs->OnTaskHealthSample(node, healthy, stage_p50_seconds);
   }
 }
 

@@ -35,22 +35,25 @@ class TaskContext;
 class DagScheduler;
 
 // Straggler mitigation (DESIGN.md "Straggler mitigation"). The scheduler
-// tracks each stage's P50 task service time, the engine's one measure of
-// "slow": live once `quorum` attempts of the stage have finished, carried
-// from the previous stage before that. It arms
-// T = max(min_deadline_seconds, spec_multiplier x stage P50), which is both
-// every outstanding attempt's deadline and the per-pull shuffle-fetch
-// timeout. An attempt past T gets a speculative duplicate on a different
-// node; first success wins and the loser is cancelled cooperatively. Failed
-// attempts are retried with exponential backoff up to max_attempts_per_task
-// before the stage surfaces the last error, and the stage watchdog bounds
-// the whole loop so a hung cluster turns into a clean kDeadlineExceeded.
+// tracks each stage's P50 task service time: live once `quorum` attempts of
+// the stage have finished, carried from the previous stage before that. It
+// arms T = max(min_deadline_seconds, spec_multiplier x stage P50), every
+// outstanding attempt's deadline. An attempt past T gets a speculative
+// duplicate on a different node; first success wins and the loser is
+// cancelled cooperatively. Every attempt's health verdict is pass/fail
+// against T. Failed attempts are retried with exponential backoff up to
+// max_attempts_per_task before the stage surfaces the last error, and the
+// stage watchdog bounds the whole loop so a hung cluster turns into a clean
+// kDeadlineExceeded. spec_multiplier also bounds each shuffle pull (see
+// EngineConfig's network plane).
 struct SpeculationConfig {
   bool enabled = true;
   // Completed attempts of the stage required before deadlines arm (the
   // quantile estimate is noise below this).
   int quorum = 3;
-  double spec_multiplier = 3.0;     // T = spec_multiplier x stage P50
+  // T = spec_multiplier x stage P50; a shuffle pull's budget is the same
+  // multiple of its transfer time at nominal link capacity.
+  double spec_multiplier = 3.0;
   double min_deadline_seconds = 0.2;  // floor on T for very short stages
   // Attempts per task slot (including the first) before the stage gives up
   // and surfaces the last failure. Revocation-killed attempts do not count.
@@ -82,10 +85,12 @@ struct EngineConfig {
   // pulls charge bytes / (capacity / slow_factor) against the PRODUCING
   // node's link when model_latency is on, so a congested NIC inflates
   // reduce-side service times the same way slow compute does.
-  // A pull slower than the running stage's T (SpeculationConfig) is
-  // abandoned at T, classified link-slow (feeding the producer's health
-  // EWMA), and the producer's outputs are dropped so lineage recomputes
-  // them on a healthy node. No armed stage P50 means no timeout.
+  // While speculation is on, a pull whose modelled transfer would outlast
+  // spec_multiplier x bytes / the producer's nominal capacity is abandoned
+  // at that budget, classified link-slow (an unhealthy sample for the
+  // producer), and the producer's outputs are dropped so lineage recomputes
+  // them on a healthy node. Each pull is judged against its own transfer
+  // time, never against another stage's.
   double default_link_bandwidth_bytes_per_s = 512.0 * kMiB;
 };
 
@@ -136,7 +141,7 @@ struct EngineCounters {
   // TaskContext::FetchShuffle):
   std::atomic<uint64_t> net_fetches{0};           // per-producer pulls charged
   std::atomic<uint64_t> net_fetch_bytes{0};       // bytes pulled over node links
-  std::atomic<uint64_t> net_fetches_slow{0};      // pulls that blew the fetch timeout
+  std::atomic<uint64_t> net_fetches_slow{0};      // pulls that outlasted their budget
   std::atomic<uint64_t> net_fetch_recomputes{0};  // fetches that fell back to recompute
   std::atomic<int64_t> net_fetch_wait_nanos{0};   // modelled transfer time charged
 };
@@ -157,18 +162,14 @@ struct NodeState {
   // recovers. Unlike draining, quarantine is reversible. A revoked node
   // keeps its final mark.
   std::atomic<bool> quarantined{false};
-  // EWMA health score folded by the NodeManager's scorer (1 = healthy,
-  // 0 = failing every attempt). Weights PickNode's smooth weighted
-  // round-robin so a degraded-but-unbenched node draws proportionally fewer
-  // tasks. Plain store/load; single-writer (the scorer, under its mutex).
+  // EWMA health score folded by the NodeManager's scorer from pass/fail
+  // samples (1 = every recent verdict healthy). Quarantine is its only
+  // consumer; placement ignores it. Plain store/load; single-writer (the
+  // scorer, under its mutex).
   std::atomic<double> health_score{1.0};
   // Samples folded into health_score since the node joined or last left
   // quarantine; gates quarantine on NodeHealthConfig::min_samples.
   std::atomic<int> health_samples{0};
-  // Smooth-weighted-round-robin credit for PickNode. Only the scheduler
-  // thread (serialized by job_mutex_) mutates it; atomic so readers
-  // (metrics, tests) need no lock.
-  std::atomic<double> swrr_credit{0.0};
   // Round-robin dispatches routed here by PickNode (locality picks not
   // included). Exposed for placement tests and telemetry.
   std::atomic<uint64_t> tasks_picked{0};
@@ -244,10 +245,6 @@ class FlintContext : public ClusterListener {
   // Refuses to quarantine the last schedulable node — something must keep
   // accepting tasks — and returns whether the change was applied.
   bool SetNodeQuarantined(NodeId id, bool quarantined);
-  // Overrides `id`'s health score (clamped to [0, 1]), the weight placement
-  // reads; tests use it to model a degraded node without a scorer. Unknown
-  // ids are ignored.
-  void SetNodeHealthScore(NodeId id, double score);
   // Overrides `id`'s modelled NIC capacity (bytes/s). Unknown ids are
   // ignored. Tests use this to model heterogeneous fleets.
   void SetNodeLinkBandwidth(NodeId id, double bytes_per_s);
@@ -303,22 +300,12 @@ class FlintContext : public ClusterListener {
   void NotifyPartitionComputed(const RddPtr& rdd, int partition, double seconds);
   void ChargeOriginRead(uint64_t bytes) const;
   // Straggler telemetry fan-out to observers (node-health scorer).
-  void NotifyTaskHealthSample(NodeId node, double sample, double stage_p50_seconds);
+  void NotifyTaskHealthSample(NodeId node, bool healthy, double stage_p50_seconds);
   // Link telemetry fan-out: a shuffle pull over `node`'s link was classified
   // (ratio = observed bytes/s over modelled capacity, clamped to [0, 1];
-  // slow = the pull blew the fetch timeout). Feeds the health scorer.
+  // slow = the pull outlasted its budget). Feeds the health scorer and
+  // market costing.
   void NotifyLinkSample(NodeId node, double throughput_ratio, bool slow);
-
-  // --- the running stage's T (published by the stage loop) ---
-  // max(min_deadline_seconds, spec_multiplier x stage P50) in seconds: the
-  // task deadline, read here as the per-pull fetch timeout. 0 while no
-  // stage P50 is armed.
-  void PublishStageDeadline(double seconds) {
-    stage_deadline_seconds_.store(seconds, std::memory_order_relaxed);
-  }
-  double StageDeadlineSeconds() const {
-    return stage_deadline_seconds_.load(std::memory_order_relaxed);
-  }
 
   // --- fault-injection probe (src/inject/) ---
   // At most one probe; set before running jobs, clear with nullptr. The
@@ -396,10 +383,6 @@ class FlintContext : public ClusterListener {
   std::unique_ptr<DagScheduler> scheduler_;
   std::atomic<int> round_robin_{0};
   std::atomic<EngineProbe*> probe_{nullptr};
-
-  // Running stage's T (seconds); see PublishStageDeadline. Written by the
-  // scheduler thread, read by reduce-side tasks as their fetch timeout.
-  std::atomic<double> stage_deadline_seconds_{0.0};
 
   // Checkpoint write tracking: in-flight path claims (prevents double
   // writes) and the per-RDD metadata of durably written partitions, consumed

@@ -114,11 +114,6 @@ bool StretchCompute(TaskContext& tc, const TaskFaultDirective& directive, WallTi
   return true;
 }
 
-// A zero-score node still deserves a trickle: total starvation would freeze
-// its EWMA (no completions, no samples), making recovery impossible.
-// Quarantine — not the weight floor — is the mechanism that benches a node.
-constexpr double kMinPickWeight = 0.05;
-
 // Stamps `stamp` with the current steady-clock tick at executor entry.
 void StampExecStart(const ExecStartStamp& stamp) {
   stamp->store(WallClock::now().time_since_epoch().count(), std::memory_order_release);
@@ -134,20 +129,6 @@ std::optional<WallTime> ReadExecStart(const ExecStartStamp& stamp) {
 }
 
 }  // namespace
-
-size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits) {
-  double total = 0.0;
-  size_t best = 0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    credits[i] += weights[i];
-    total += weights[i];
-    if (credits[i] > credits[best]) {
-      best = i;
-    }
-  }
-  credits[best] -= total;
-  return best;
-}
 
 std::shared_ptr<NodeState> DagScheduler::PickNode(const RddPtr& rdd, int partition,
                                                   NodeId exclude) {
@@ -170,27 +151,11 @@ std::shared_ptr<NodeState> DagScheduler::PickNode(const RddPtr& rdd, int partiti
       return node;
     }
   }
-  // Health-weighted smooth round-robin over the id-sorted schedulable set:
-  // every node earns credit proportional to its EWMA health score, the
-  // richest node wins and repays the total. At uniform health this is exact
-  // round-robin (identical interleave to the old counter), while a node at
-  // score 0.5 draws half the work of its healthy peers — degraded-but-
-  // unbenched nodes shed load without the cliff of quarantine. Credits live
-  // on NodeState (scheduler thread is the only writer, serialized by
-  // job_mutex_), so proportions hold across stages.
-  std::vector<double> weights(live.size());
-  std::vector<double> credits(live.size());
-  for (size_t i = 0; i < live.size(); ++i) {
-    weights[i] = std::max(live[i]->health_score.load(std::memory_order_relaxed),
-                          kMinPickWeight);
-    credits[i] = live[i]->swrr_credit.load(std::memory_order_relaxed);
-  }
-  const size_t pick = SwrrPick(weights, credits);
-  for (size_t i = 0; i < live.size(); ++i) {
-    live[i]->swrr_credit.store(credits[i], std::memory_order_relaxed);
-  }
-  live[pick]->tasks_picked.fetch_add(1, std::memory_order_relaxed);
-  return live[pick];
+  // Plain round-robin over the id-sorted schedulable set. Health does not
+  // weight placement: a node is either schedulable or quarantined.
+  const std::shared_ptr<NodeState>& node = live[next_pick_++ % live.size()];
+  node->tasks_picked.fetch_add(1, std::memory_order_relaxed);
+  return node;
 }
 
 Status DagScheduler::EnsureShuffleDeps(const RddPtr& rdd, int depth) {
@@ -251,10 +216,8 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
 
   // Streaming P50 over winning-attempt service times: completion minus
   // max(submission, the node's previous completion), i.e. the slice of wall
-  // clock the task actually occupied its node, not its wait in queue. It is
-  // the engine's one measure of "slow": it arms T (the task deadline and the
-  // fetch timeout) and is the reference every health sample is taken
-  // against.
+  // clock the task actually occupied its node, not its wait in queue. It
+  // arms T, the deadline every attempt's health verdict is judged against.
   P2Quantile p50(0.5);
   // Cross-stage carry-over: until the in-stage estimate reaches quorum, T
   // may arm from the previous stage's P50 (carried_p50_), so short stages —
@@ -263,8 +226,8 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       spec_cfg.enabled && carried_count_ >= static_cast<size_t>(spec_cfg.quorum);
   bool seed_counted = false;
   // The armed stage P50: live once `quorum` wins are in, carried before
-  // that, nullopt with neither (no deadlines, no fetch timeouts, healthy
-  // samples) rather than trusting a stale stage's shape.
+  // that, nullopt with neither (no deadlines; every success is healthy)
+  // rather than trusting a stale stage's shape.
   auto armed_p50 = [&]() -> std::optional<double> {
     if (spec_cfg.enabled && static_cast<int>(p50.count()) >= spec_cfg.quorum) {
       return p50.value();
@@ -277,24 +240,10 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   auto deadline_for = [&spec_cfg](double p50_seconds) {
     return std::max(spec_cfg.min_deadline_seconds, spec_cfg.spec_multiplier * p50_seconds);
   };
-  auto publish_deadline = [&] {
-    const std::optional<double> armed = armed_p50();
-    ctx_->PublishStageDeadline(armed ? deadline_for(*armed) : 0.0);
+  // Reports one attempt's pass/fail verdict to the node-health scorer.
+  auto report_health = [&](NodeId node, bool healthy) {
+    ctx_->NotifyTaskHealthSample(node, healthy, armed_p50().value_or(0.0));
   };
-  // Judges one finished attempt for the node-health scorer:
-  // clamp(P50 / service time, 0, 1) for a success (1.0 while no P50 is
-  // armed), 0 for a failure or deadline miss.
-  auto report_health = [&](NodeId node, bool healthy, double service_seconds) {
-    const std::optional<double> armed = armed_p50();
-    double sample = 0.0;
-    if (healthy) {
-      sample = (!armed || service_seconds <= 0.0)
-                   ? 1.0
-                   : std::clamp(*armed / service_seconds, 0.0, 1.0);
-    }
-    ctx_->NotifyTaskHealthSample(node, sample, armed.value_or(0.0));
-  };
-  publish_deadline();
 
   auto outcomes = std::make_shared<OutcomeQueue>();
 
@@ -482,7 +431,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
           const int slot = missed.slot;
           const NodeId from_node = missed.node->info.node_id;
           counters.task_deadline_misses.fetch_add(1, std::memory_order_relaxed);
-          report_health(from_node, /*healthy=*/false, 0.0);
+          report_health(from_node, /*healthy=*/false);
           SlotState& st = slots[slot];
           if (st.done || st.outstanding >= 2) {
             continue;  // already won, or already speculated
@@ -564,18 +513,21 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
 
       if (outcome.status.ok()) {
         node_progress[node_id] = finished;
+        // Judged against the T armed while it ran, before it joins the P50
+        // (healthy when none is armed). A success whose deadline already
+        // fired was judged at the miss.
+        if (!attempt.deadline_missed) {
+          const std::optional<double> armed = armed_p50();
+          report_health(node_id, !armed || seconds <= deadline_for(*armed));
+        }
         if (st.done) {
           // Duplicate success: its sibling already won. Computation is
           // deterministic so the results are bit-identical; nothing to
-          // reconcile, but the node did finish a task — judge it.
-          report_health(node_id, /*healthy=*/true, seconds);
+          // reconcile.
           continue;
         }
         st.done = true;
-        // Judged against the P50 armed while it ran, before it joins it.
-        report_health(node_id, /*healthy=*/true, seconds);
         p50.Add(seconds);
-        publish_deadline();
         if (attempt.speculative) {
           counters.speculative_wins.fetch_add(1, std::memory_order_relaxed);
         }
@@ -609,8 +561,11 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         continue;
       }
       // A genuine attempt failure (flaky node, poisoned input, user-code
-      // error): penalize the node, charge the slot's budget, back off.
-      report_health(node_id, /*healthy=*/false, seconds);
+      // error): penalize the node (unless its deadline miss already did),
+      // charge the slot's budget, back off.
+      if (!attempt.deadline_missed) {
+        report_health(node_id, /*healthy=*/false);
+      }
       ++st.failures;
       if (st.failures >= spec_cfg.max_attempts_per_task) {
         fatal = Status(outcome.status.code(),
@@ -635,8 +590,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
         cancel_outstanding();
         return rec;
       }
-      publish_deadline();  // the re-run stage published its own T
-      progress = true;     // the producing stage was re-run; not a stall
+      progress = true;  // the producing stage was re-run; not a stall
     }
     if (progress) {
       stalled_rounds = 0;

@@ -11,8 +11,9 @@
 //     from the stage's streaming P50 service time launch speculative
 //     duplicate attempts on a different node; the first success wins and
 //     losers are cancelled cooperatively (SpeculationConfig in context.h).
-//     The same P50 sets the shuffle-fetch timeout and is the reference of
-//     every node-health sample the scheduler reports.
+//     Every judged attempt also yields one pass/fail node-health verdict:
+//     healthy for a success within its deadline, unhealthy for a failure or
+//     a deadline miss.
 // When every node is gone (the paper's whole-cluster revocation in batch
 // mode), the scheduler parks until the node manager supplies replacements.
 // A configurable stage watchdog bounds every stage's wall-clock time so a
@@ -42,14 +43,6 @@ class OutcomeQueue;  // defined in dag_scheduler.cc
 // stage loop and the task lambda so deadlines measure execution time, not
 // queue wait.
 using ExecStartStamp = std::shared_ptr<std::atomic<int64_t>>;
-
-// Smooth weighted round-robin (nginx-style): adds each weight to its credit,
-// picks the highest credit (first on ties), and charges the winner the total
-// weight. With equal weights this is exact round-robin;
-// with unequal weights each index is chosen in proportion to its weight,
-// evenly interleaved. `credits` is updated in place. Exposed for unit tests;
-// PickNode persists credits on NodeState.
-size_t SwrrPick(const std::vector<double>& weights, std::vector<double>& credits);
 
 class DagScheduler {
  public:
@@ -115,9 +108,9 @@ class DagScheduler {
   Status RecoverShuffle(int shuffle_id, int depth);
 
   // Picks an execution node for (rdd, partition) among nodes accepting new
-  // tasks, preferring cache locality and skipping `exclude`. Returns nullptr
-  // when no such node exists — the caller's stage loop parks, never this
-  // function.
+  // tasks, skipping `exclude`: a node caching the partition if any, else
+  // the next in round-robin over the id-sorted set. Returns nullptr when no
+  // such node exists — the caller's stage loop parks, never this function.
   std::shared_ptr<NodeState> PickNode(const RddPtr& rdd, int partition, NodeId exclude = -1);
 
   FlintContext* ctx_;
@@ -130,6 +123,8 @@ class DagScheduler {
   // FlintContext::job_mutex_; nested stage loops run on the same thread).
   double carried_p50_ = 0.0;
   size_t carried_count_ = 0;
+  // PickNode's round-robin cursor; scheduler thread only, like the above.
+  size_t next_pick_ = 0;
 };
 
 }  // namespace flint

@@ -123,20 +123,24 @@ class EngineObserver {
   virtual void OnNodeRevoked(const NodeInfo& node) { (void)node; }
 
   // --- straggler telemetry (feeds the node-health scorer) ---
-  // The scheduler judged one task attempt on `node` against its stage's P50
-  // service time `stage_p50_seconds` (0 while none is armed). `sample` is
-  // clamp(P50 / service time, 0, 1) for a success, 1.0 while no P50 is
-  // armed, and 0 for a failure or a deadline miss. Cancelled speculative
-  // losers and attempts that died with their node are not judged.
-  virtual void OnTaskHealthSample(NodeId node, double sample, double stage_p50_seconds) {
+  // The scheduler's pass/fail verdict on one task attempt on `node`:
+  // `healthy` for a success within its stage's T, false for a failure or a
+  // deadline miss. Each judged attempt yields exactly one verdict; a success
+  // arriving after its deadline fired yields none (the miss was its
+  // verdict). Cancelled speculative losers and attempts that died with their
+  // node are not judged. `stage_p50_seconds` is the stage P50 that armed T
+  // (0 while none is armed), for traces.
+  virtual void OnTaskHealthSample(NodeId node, bool healthy, double stage_p50_seconds) {
     (void)node;
-    (void)sample;
+    (void)healthy;
     (void)stage_p50_seconds;
   }
   // A shuffle pull over `node`'s link was classified. `throughput_ratio` is
-  // observed bytes/s over the node's modelled capacity (clamped to [0,1]);
-  // `slow` marks pulls that blew the fetch timeout. Feeds the same health
-  // EWMA as task samples so a network-sick node quarantines too.
+  // observed bytes/s over the node's modelled capacity (clamped to [0,1]),
+  // for market costing; `slow` marks pulls that outlasted their budget
+  // (spec_multiplier x the transfer time at nominal capacity). The health
+  // scorer folds `!slow` as a pass/fail verdict, so a network-sick node
+  // quarantines too. Full-speed pulls are not reported.
   virtual void OnLinkSample(NodeId node, double throughput_ratio, bool slow) {
     (void)node;
     (void)throughput_ratio;

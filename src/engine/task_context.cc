@@ -216,7 +216,7 @@ Histogram* FetchSecondsHistogram() {
 }  // namespace
 
 Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double slow_factor,
-                                       double timeout_seconds, int shuffle_id, int reduce_part) {
+                                       int shuffle_id, int reduce_part) {
   const EngineConfig& cfg = ctx_->config();
   EngineCounters& counters = ctx_->counters();
   std::shared_ptr<NodeState> producer_state = ctx_->GetNodeState(producer);
@@ -232,10 +232,17 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
   counters.net_fetch_bytes.fetch_add(bytes, std::memory_order_relaxed);
   const double transfer_s =
       (cfg.model_latency && effective > 0.0) ? static_cast<double>(bytes) / effective : 0.0;
-  const bool timed_out = timeout_seconds > 0.0 && transfer_s > timeout_seconds;
-  // A timed-out pull still waits out the timeout (the consumer cannot know
-  // the transfer is doomed until the deadline passes), then abandons it.
-  const double wait_s = timed_out ? timeout_seconds : transfer_s;
+  // The pull's own budget: spec_multiplier x its transfer time at the
+  // producer's nominal capacity (an unmodelled pull has none and is never
+  // slow).
+  const double budget_s =
+      transfer_s > 0.0
+          ? cfg.speculation.spec_multiplier * static_cast<double>(bytes) / capacity
+          : 0.0;
+  const bool slow = cfg.speculation.enabled && transfer_s > budget_s;
+  // A slow pull still waits out its budget (the consumer cannot know the
+  // transfer is doomed until then), then abandons it.
+  const double wait_s = slow ? budget_s : transfer_s;
   if (wait_s > 0.0) {
     const auto t0 = WallClock::now();
     while (true) {
@@ -253,18 +260,18 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
   }
   FetchSecondsHistogram()->Observe(wait_s);
   const double ratio = capacity > 0.0 ? std::clamp(effective / capacity, 0.0, 1.0) : 0.0;
-  if (!timed_out) {
-    // Degraded but within budget: report the observed ratio as a healthy
-    // sample so health scoring and market costing see the slow link even in
-    // runs with timeouts disarmed. Full-speed pulls stay silent — flooding
-    // observers with ratio-1.0 samples would just dilute real signal.
+  if (!slow) {
+    // Degraded but within budget: a healthy verdict, reported with the
+    // observed ratio so market costing sees the slow link. Full-speed pulls
+    // stay silent — flooding observers with ratio-1.0 samples would just
+    // dilute real signal.
     if (ratio < 0.999) {
       ctx_->NotifyLinkSample(producer, ratio, /*slow=*/false);
     }
     return Status::Ok();
   }
   // Classified link-slow: this producer's NIC, not its CPU, is the problem.
-  // Feed the health scorer so a network-sick node quarantines too.
+  // An unhealthy verdict, so a network-sick node quarantines too.
   counters.net_fetches_slow.fetch_add(1, std::memory_order_relaxed);
   Tracer::Global().RecordInstant("shuffle_fetch_slow", "net",
                                  {{"producer", static_cast<double>(producer)},
@@ -272,12 +279,12 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
                                   {"shuffle", static_cast<double>(shuffle_id)},
                                   {"reduce_part", static_cast<double>(reduce_part)},
                                   {"bytes", static_cast<double>(bytes)},
-                                  {"timeout_s", timeout_seconds},
+                                  {"timeout_s", budget_s},
                                   {"transfer_s", transfer_s}});
   ctx_->NotifyLinkSample(producer, ratio, /*slow=*/true);
   return DeadlineExceeded("shuffle " + std::to_string(shuffle_id) + " fetch from node " +
-                          std::to_string(producer) + " blew the " +
-                          std::to_string(timeout_seconds) + "s fetch timeout");
+                          std::to_string(producer) + " outlasted its " +
+                          std::to_string(budget_s) + "s budget");
 }
 
 Result<std::vector<PartitionPtr>> TaskContext::FetchShuffle(int shuffle_id, int reduce_part) {
@@ -291,7 +298,6 @@ Result<std::vector<PartitionPtr>> TaskContext::FetchShuffle(int shuffle_id, int 
     }
     return fetched.status();
   }
-  const double timeout = ctx_->StageDeadlineSeconds();
   std::vector<PartitionPtr> buckets;
   buckets.reserve(fetched->size());
   for (auto& fb : *fetched) {
@@ -307,14 +313,14 @@ Result<std::vector<PartitionPtr>> TaskContext::FetchShuffle(int shuffle_id, int 
       finfo.bytes = bytes;
       const FetchFaultDirective directive = ctx_->FireFetchProbe(finfo);
       Status pull = directive.fail.ok()
-                        ? ChargeLinkTransfer(fb.node, bytes, directive.slow_factor, timeout,
-                                             shuffle_id, reduce_part)
+                        ? ChargeLinkTransfer(fb.node, bytes, directive.slow_factor, shuffle_id,
+                                             reduce_part)
                         : directive.fail;
       if (!pull.ok()) {
         if (Cancelled()) {
           return Unavailable("cancelled during shuffle fetch");  // this attempt is dead anyway
         }
-        // A retry would wait at least T again: drop the slow producer's
+        // A retry would wait out the budget again: drop the slow producer's
         // outputs so the scheduler's FetchFailed recovery recomputes them
         // on a healthy node instead of refetching into the same black hole.
         const size_t dropped = ctx_->shuffles().DropNodeOutputs(shuffle_id, fb.node);

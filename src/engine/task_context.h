@@ -36,12 +36,13 @@ class TaskContext {
   // Gathers all map-output buckets of `shuffle_id` for `reduce_part`,
   // charging each remote bucket's transfer time against the PRODUCING node's
   // link (bytes / (capacity / injected slow_factor)) when latency modelling
-  // is on. A pull whose modelled transfer would exceed the running stage's
-  // T (FlintContext::StageDeadlineSeconds) is abandoned at T and classified
-  // link-slow (feeding the producer's health EWMA); the slow producer's
-  // outputs are then dropped and kDataLoss returned so the scheduler
-  // recomputes them on a healthy node. On kDataLoss, failed_shuffle()
-  // reports which shuffle must be re-run.
+  // is on. While speculation is enabled, a pull whose modelled transfer
+  // would outlast its own budget (spec_multiplier x bytes / the producer's
+  // nominal capacity) is abandoned at the budget and classified link-slow
+  // (an unhealthy verdict for the producer); the slow producer's outputs
+  // are then dropped and kDataLoss returned so the scheduler recomputes
+  // them on a healthy node. On kDataLoss, failed_shuffle() reports which
+  // shuffle must be re-run.
   Result<std::vector<PartitionPtr>> FetchShuffle(int shuffle_id, int reduce_part);
 
   // Runs the map side of one shuffle task: produces the reduce-side buckets
@@ -76,11 +77,11 @@ class TaskContext {
   int failed_shuffle_ = -1;
 
   // Charges one remote bucket transfer against `producer`'s link. Returns
-  // kDeadlineExceeded when the modelled transfer blows `timeout_seconds`
-  // (after waiting out the timeout), kUnavailable when cancelled
+  // kDeadlineExceeded when the modelled transfer outlasts the pull's budget
+  // (after waiting the budget out), kUnavailable when cancelled
   // mid-transfer, OK otherwise.
-  Status ChargeLinkTransfer(NodeId producer, uint64_t bytes, double slow_factor,
-                            double timeout_seconds, int shuffle_id, int reduce_part);
+  Status ChargeLinkTransfer(NodeId producer, uint64_t bytes, double slow_factor, int shuffle_id,
+                            int reduce_part);
 
   // Step 3 of GetPartition: recompute (rdd, partition) from lineage. When
   // `rdd` heads a chain of streaming one-to-one operators whose intermediates

@@ -1,6 +1,6 @@
 // Network-plane scenarios (ISSUE 10): scripted kSlowLink injections exercise
 // the per-node bandwidth model, the hardened shuffle-fetch path (a pull
-// slower than the stage's T -> recompute fallback), link-driven node-health
+// outlasting its own budget -> recompute fallback), link-driven node-health
 // quarantine, and the per-context health record. The acceptance case pins
 // the paper-style bound: with one of eight nodes serving its shuffle output
 // over a 4x-degraded link, job latency stays within 1.6x fault-free and the
@@ -134,11 +134,13 @@ std::vector<std::pair<int, int>> WideCounts(FlintContext* ctx, int pairs, int ke
 // The acceptance scenario: one of eight nodes serves its shuffle output over
 // a 4x-degraded link (the node computes fine, its NIC is sick). Transfers
 // are modelled against a 1 MiB/s fleet so a healthy pull takes single-digit
-// milliseconds and a degraded pull stays under the fetch-timeout floor: the
-// job absorbs the slow link as latency, stays within 1.6x fault-free, and
-// produces bit-identical results. Healthy-but-degraded pulls report their
-// throughput ratio into node health, and the link-driven samples quarantine
-// the victim within a few jobs.
+// milliseconds. A pull's budget is spec_multiplier (3) x its own transfer
+// time at nominal capacity, so every pull from the 4x victim outlasts it:
+// the consumer abandons the pull at the budget and the victim's outputs
+// recompute on other nodes. The job stays within 1.6x fault-free and
+// produces bit-identical results, and each slow pull is an unhealthy
+// verdict, so the link-driven samples quarantine the victim within a few
+// jobs.
 TEST_F(SlowLinkTest, DegradedLinkLatencyBoundedAndQuarantined) {
   constexpr int kPairs = 24000;
   constexpr int kMaps = 8;
@@ -215,9 +217,9 @@ TEST_F(SlowLinkTest, DegradedLinkLatencyBoundedAndQuarantined) {
 }
 
 // The recompute fallback: the slow-link window never lapses, a pull from
-// the victim outlasts the stage's T, and the consumer drops the victim's
+// the victim outlasts its budget, and the consumer drops the victim's
 // outputs to force the scheduler's kDataLoss recompute fallback. Timed-out
-// pulls classify the producer link-slow (zero health samples), the node
+// pulls classify the producer link-slow (unhealthy verdicts), the node
 // manager quarantines it, and the recomputed map outputs land on healthy
 // nodes so the job completes with clean-run results.
 TEST_F(SlowLinkTest, PersistentSlowLinkFallsBackToRecompute) {
@@ -225,11 +227,12 @@ TEST_F(SlowLinkTest, PersistentSlowLinkFallsBackToRecompute) {
   constexpr int kMaps = 4;
   constexpr int kReduces = 4;
   SpeculationConfig spec = FastSpec(true);
-  // Pin T at the 30 ms floor: the map stage's P50 is a few milliseconds, so
-  // 3 x P50 stays below it. A healthy ~3 KB pull at 1 MiB/s takes ~3 ms
-  // (never trips); the 64x-degraded one takes ~190 ms (always trips). T is
-  // also the task deadline, so reduce tasks stuck behind a timed-out pull
-  // may be speculated; results must stay bit-identical.
+  // Each pull's budget is 3x its own transfer time at nominal capacity: a
+  // healthy ~3 KB pull at 1 MiB/s takes ~3 ms of a ~9 ms budget (never
+  // trips); the 64x-degraded one would take ~190 ms (always trips at ~9 ms).
+  // The 30 ms floor pins the task deadline T above the map stage's 3 x P50
+  // of a few milliseconds, so reduce tasks stuck behind a timed-out pull may
+  // be speculated; results must stay bit-identical.
   spec.min_deadline_seconds = 0.03;
   const EngineHarnessOptions opts{.num_nodes = 4,
                                   .model_latency = true,
@@ -273,6 +276,49 @@ TEST_F(SlowLinkTest, PersistentSlowLinkFallsBackToRecompute) {
   EXPECT_TRUE(nm.Quarantined(victim))
       << "timed-out pulls never quarantined the slow producer, score "
       << nm.HealthScore(victim);
+}
+
+// A healthy pull is judged against its own transfer time, not the task
+// deadline. The map stage's tasks take about a millisecond, so with a 10 ms
+// deadline floor the stage's T is 10 ms, while every healthy pull at the
+// 64 KiB/s fleet bandwidth takes at least 3x that. No pull is slow, nothing
+// recomputes, and the result matches a clean run bit for bit.
+TEST_F(SlowLinkTest, HealthyPullNeverTimesOut) {
+  constexpr int kPairs = 12000;
+  constexpr int kMaps = 4;
+  constexpr int kReduces = 4;
+  SpeculationConfig spec = FastSpec(true);
+  spec.min_deadline_seconds = 0.01;
+  // Bounds a run that keeps recomputing; a healthy run takes well under a
+  // second.
+  spec.stage_watchdog_seconds = 30.0;
+  const EngineHarnessOptions opts{.num_nodes = 4,
+                                  .model_latency = true,
+                                  .speculation = spec,
+                                  .link_bandwidth_bytes_per_s = 64.0 * 1024.0};
+
+  std::vector<std::pair<int, int>> reference;
+  {
+    EngineHarness clean;
+    reference = WideCounts(&clean.ctx(), kPairs, kPairs, kMaps, kReduces);
+    ASSERT_EQ(reference.size(), static_cast<size_t>(kPairs));
+  }
+
+  EngineHarness h{opts};
+  Status status;
+  std::vector<std::pair<int, int>> got =
+      WideCounts(&h.ctx(), kPairs, kPairs, kMaps, kReduces, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(got, reference);
+  const EngineCounters& counters = h.ctx().counters();
+  ASSERT_GT(counters.net_fetches.load(), 0u);
+  // Buckets hash evenly, so a mean pull of at least 60 ms keeps every pull
+  // above the 30 ms mark (3x the 10 ms T).
+  ASSERT_GE(static_cast<double>(counters.net_fetch_bytes.load()) /
+                static_cast<double>(counters.net_fetches.load()),
+            0.06 * opts.link_bandwidth_bytes_per_s);
+  EXPECT_EQ(counters.net_fetches_slow.load(), 0u);
+  EXPECT_EQ(counters.net_fetch_recomputes.load(), 0u);
 }
 
 // Composition: the slow link stays correct when a whole-cluster revocation
@@ -457,7 +503,7 @@ TEST_F(SlowLinkTest, HealthDoesNotLeakAcrossContexts) {
   NodeManager nm_a(&h_a.ctx(), &market, /*ft=*/nullptr, nm_cfg);
   const NodeId victim = h_a.node_ids().front();
   for (int i = 0; i < 8 && !nm_a.Quarantined(victim); ++i) {
-    nm_a.OnTaskHealthSample(victim, /*sample=*/0.0, /*stage_p50_seconds=*/0.0);
+    nm_a.OnTaskHealthSample(victim, /*healthy=*/false, /*stage_p50_seconds=*/0.0);
   }
   ASSERT_TRUE(nm_a.Quarantined(victim)) << "score " << nm_a.HealthScore(victim);
 

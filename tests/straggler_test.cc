@@ -12,6 +12,7 @@
 #include <cmath>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/flint_cluster.h"
@@ -308,11 +309,11 @@ TEST_F(StragglerTest, QuarantineLiftsAfterExactSampleCount) {
   int next_sample = 0;
   auto feed_healthy = [&] {
     const NodeId other = h.node_ids()[1 + next_sample++ % (h.node_ids().size() - 1)];
-    nm.OnTaskHealthSample(other, /*sample=*/1.0, /*stage_p50_seconds=*/0.01);
+    nm.OnTaskHealthSample(other, /*healthy=*/true, /*stage_p50_seconds=*/0.01);
   };
 
   for (int i = 0; i < 8 && !nm.Quarantined(victim); ++i) {
-    nm.OnTaskHealthSample(victim, /*sample=*/0.0, /*stage_p50_seconds=*/0.01);
+    nm.OnTaskHealthSample(victim, /*healthy=*/false, /*stage_p50_seconds=*/0.01);
   }
   ASSERT_TRUE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
   const double s = nm.HealthScore(victim);
@@ -381,6 +382,59 @@ TEST_F(StragglerTest, StageCostChangeIsNotReadAsSlowness) {
   }
 }
 
+// Spread below the deadline is not slowness: one of four nodes computes 2x
+// slow, under spec_multiplier = 3, through a fault-free two-stage job. Every
+// attempt on it succeeds within T, so each verdict is healthy: its score
+// stays exactly 1.0, it is never quarantined, and round-robin gives it the
+// same share of tasks as its peers.
+TEST_F(StragglerTest, SubDeadlineSpreadIsNotSlowness) {
+  EngineHarness h;  // default speculation: T = max(0.2 s, 3 x stage P50)
+  Marketplace market({testing::MakeSpikyMarket("m0", 1.0, 0.2, 0.2, 24, 0, 0)},
+                     /*on_demand_price=*/1.0, /*seed=*/7);
+  NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, NodeManagerConfig{});
+  const double quarantines_before =
+      MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines");
+  const NodeId victim = h.node_ids().front();
+
+  FaultPlan plan;
+  plan.events.push_back(SlowNodeAt(EnginePoint::kTaskRun, /*after_hits=*/0,
+                                   /*node_ordinal=*/0, /*slow_factor=*/2.0,
+                                   /*duration_seconds=*/30.0));
+  FaultInjector injector(&h.cluster(), plan);
+  {
+    ProbeGuard guard(&h.ctx(), &injector);
+    std::vector<std::pair<int, int>> data;
+    for (int i = 0; i < 256; ++i) {
+      data.emplace_back(i % 16, 1);
+    }
+    auto mapped = Parallelize(&h.ctx(), data, 16).Map([](const std::pair<int, int>& kv) {
+      std::this_thread::sleep_for(std::chrono::microseconds(1250));  // 20 ms per task
+      return kv;
+    });
+    auto out = ReduceByKey(mapped, 8, [](int a, int b) { return a + b; })
+                   .Map([](const std::pair<int, int>& kv) {
+                     std::this_thread::sleep_for(std::chrono::milliseconds(10));
+                     return kv;
+                   })
+                   .Collect();
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->size(), 16u);
+  }
+  EXPECT_GT(injector.GetStats().tasks_slowed, 0u);
+
+  EXPECT_EQ(nm.HealthScore(victim), 1.0);
+  EXPECT_FALSE(nm.Quarantined(victim));
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines"),
+            quarantines_before);
+  const uint64_t victim_picks = h.ctx().GetNodeState(victim)->tasks_picked.load();
+  for (NodeId peer : h.node_ids()) {
+    const uint64_t peer_picks = h.ctx().GetNodeState(peer)->tasks_picked.load();
+    EXPECT_LE(std::max(victim_picks, peer_picks) - std::min(victim_picks, peer_picks), 1u)
+        << "node " << victim << " picked " << victim_picks << " vs node " << peer << " "
+        << peer_picks;
+  }
+}
+
 // Teardown lifts a live quarantine: decay runs only on samples the manager
 // folds, so with decay_rate = 0 (or simply no further samples) nothing else
 // would, yet after the manager's destruction the node takes tasks again.
@@ -395,7 +449,7 @@ TEST_F(StragglerTest, TeardownLiftsQuarantineWithoutDecay) {
   {
     NodeManager nm(&h.ctx(), &market, /*ft=*/nullptr, nm_cfg);
     for (int i = 0; i < 8 && !nm.Quarantined(victim); ++i) {
-      nm.OnTaskHealthSample(victim, /*sample=*/0.0, /*stage_p50_seconds=*/0.0);
+      nm.OnTaskHealthSample(victim, /*healthy=*/false, /*stage_p50_seconds=*/0.0);
     }
     ASSERT_TRUE(nm.Quarantined(victim)) << "score " << nm.HealthScore(victim);
   }  // nothing but teardown can lift the quarantine now

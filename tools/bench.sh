@@ -4,12 +4,14 @@
 #
 #   tools/bench.sh              # run + rewrite BENCH_engine.json
 #   tools/bench.sh --compare    # run + compare against BENCH_engine.json;
-#                               # exit 2 on a >25% items/s regression
+#                               # exit 2 on a >25% items/s regression, 3 when
+#                               # the baseline is from another host class
 #
-# The baseline is normalized (tools/bench_baseline.py): machine context is
-# stripped and numbers are rounded to 3 significant digits, so the committed
-# file only diffs when performance actually moves. Refresh it with a plain
-# `tools/bench.sh` run after intentional performance changes.
+# The baseline is normalized (tools/bench_baseline.py): it keeps the host
+# class (CPU count, build type, compiler), drops the rest of the machine
+# context and rounds numbers to 3 significant digits, so the committed file
+# only diffs when performance or the host class moves. Refresh it with a
+# plain `tools/bench.sh` run after intentional performance changes.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
