@@ -10,6 +10,21 @@
 
 namespace flint {
 
+namespace {
+
+// Weight of the newest measured round in the delta EWMA.
+constexpr double kDeltaEwmaAlpha = 0.5;
+// A fired checkpoint signal is only valid for this fraction of the tau in
+// effect when it fired: if no RDD is generated within that window the signal
+// expires instead of marking some much-later, unrelated RDD.
+constexpr double kSignalExpiryFactor = 1.0;
+// kSystemsLevel snapshots at tau / this divisor, matching the effective
+// frequency of Flint's shuffle-boosted checkpoints (the paper compares the
+// two approaches "using the same checkpointing frequency").
+constexpr double kSysFrequencyDivisor = 20.0;
+
+}  // namespace
+
 FaultToleranceManager::FaultToleranceManager(FlintContext* ctx, CheckpointConfig config)
     : ctx_(ctx),
       config_(config),
@@ -36,12 +51,9 @@ FaultToleranceManager::FaultToleranceManager(FlintContext* ctx, CheckpointConfig
           out.push_back({name, MetricType::kCounter, static_cast<double>(v)});
         };
         counter("flint_ft_rdds_checkpointed", stats.rdds_checkpointed);
-        counter("flint_ft_partitions_written", stats.partitions_written);
-        counter("flint_ft_bytes_written", stats.bytes_written);
         counter("flint_ft_gc_deleted_rdds", stats.gc_deleted_rdds);
         counter("flint_ft_signals_fired", stats.signals_fired);
         counter("flint_ft_signals_expired", stats.signals_expired);
-        counter("flint_ft_writes_failed", stats.writes_failed);
         counter("flint_ft_pending_requeued", stats.pending_requeued);
         counter("flint_ft_pending_expired", stats.pending_expired);
         counter("flint_ft_signals_suspended", stats.signals_suspended);
@@ -116,7 +128,7 @@ double FaultToleranceManager::TauSecondsLocked() const {
   const double mttf_engine_s = config_.time.ToEngineSeconds(mttf_hours_);
   const double tau = OptimalCheckpointInterval(delta_seconds_, mttf_engine_s);
   if (config_.policy == CheckpointPolicyKind::kSystemsLevel) {
-    return tau / static_cast<double>(std::max(1, config_.sys_frequency_divisor));
+    return tau / kSysFrequencyDivisor;
   }
   return tau;
 }
@@ -232,7 +244,7 @@ void FaultToleranceManager::FireCheckpointRound() {
     signal_fired_at_ = WallClock::now();
     const double tau = TauSecondsLocked();
     signal_expiry_seconds_ = std::isfinite(tau)
-                                 ? config_.signal_expiry_factor * tau
+                                 ? kSignalExpiryFactor * tau
                                  : std::numeric_limits<double>::infinity();
     for (const auto& [id, rdd] : frontier_) {
       if (rdd->checkpoint_state() == CheckpointState::kNone && rdd->should_cache()) {
@@ -487,16 +499,13 @@ void FaultToleranceManager::OnRddMaterialized(const RddPtr& rdd) {
   }
 }
 
-void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition, uint64_t bytes,
-                                                double write_seconds) {
-  (void)write_seconds;
+void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition,
+                                                uint64_t /*bytes*/, double /*write_seconds*/) {
   RddPtr completed;
   WallTime started{};
   bool recovered = false;
   {
     MutexLock lock(&mutex_);
-    stats_.partitions_written += 1;
-    stats_.bytes_written += bytes;
     // Any successful write proves the store is taking data again.
     consecutive_write_failures_ = 0;
     if (degraded_) {
@@ -538,8 +547,7 @@ void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition
   double tau = 0.0;
   {
     MutexLock lock(&mutex_);
-    delta_seconds_ = config_.delta_ewma_alpha * measured +
-                     (1.0 - config_.delta_ewma_alpha) * delta_seconds_;
+    delta_seconds_ = kDeltaEwmaAlpha * measured + (1.0 - kDeltaEwmaAlpha) * delta_seconds_;
     stats_.rdds_checkpointed += 1;
     delta_ewma = delta_seconds_;
     tau = TauSecondsLocked();
@@ -557,9 +565,7 @@ void FaultToleranceManager::OnCheckpointWritten(const RddPtr& rdd, int partition
   completed->SetCheckpointSaved();
   FLINT_ILOG() << "checkpoint saved: rdd " << completed->id() << " (manifest committed)";
   thread_cv_.NotifyAll();  // tau may have changed with delta
-  if (config_.gc_enabled) {
-    GarbageCollectAncestors(completed);
-  }
+  GarbageCollectAncestors(completed);
 }
 
 void FaultToleranceManager::OnCheckpointWriteFailed(const RddPtr& rdd, int partition,
@@ -568,7 +574,6 @@ void FaultToleranceManager::OnCheckpointWriteFailed(const RddPtr& rdd, int parti
   bool entered = false;
   {
     MutexLock lock(&mutex_);
-    ++stats_.writes_failed;
     ++consecutive_write_failures_;
     auto it = pending_.find(rdd->id());
     if (it != pending_.end()) {

@@ -40,19 +40,9 @@ struct CheckpointConfig {
   // whole cluster memory must be written (Sec 3.1.2). Expressed directly in
   // engine seconds; refined online by an EWMA of measured round times.
   double initial_delta_seconds = 0.25;
-  double delta_ewma_alpha = 0.5;
   // kFixedInterval ablation.
   double fixed_interval_seconds = 2.0;
   bool shuffle_boost = true;
-  bool gc_enabled = true;
-  // A fired checkpoint signal is only valid for this fraction of the tau in
-  // effect when it fired: if no RDD is generated within that window the
-  // signal expires instead of marking some much-later, unrelated RDD.
-  double signal_expiry_factor = 1.0;
-  // kSystemsLevel snapshots at tau / this divisor, matching the effective
-  // frequency of Flint's shuffle-boosted checkpoints (the paper compares the
-  // two approaches "using the same checkpointing frequency").
-  int sys_frequency_divisor = 20;
   // Degraded mode: after this many consecutive abandoned checkpoint writes
   // (each already retried with backoff by the engine) the manager stops
   // signalling new checkpoints and instead probes the store with a 1-byte
@@ -110,17 +100,14 @@ class FaultToleranceManager : public EngineObserver {
   bool degraded() const;
 
   struct Stats {
+    // Partition writes and bytes are the engine's to count
+    // (EngineCounters::checkpoint_writes / checkpoint_bytes /
+    // writes_abandoned); these are the manager's own events.
     uint64_t rdds_checkpointed = 0;
-    uint64_t partitions_written = 0;
-    uint64_t bytes_written = 0;
     uint64_t gc_deleted_rdds = 0;
     uint64_t signals_fired = 0;
-    // Signals that aged out before any RDD consumed them (see
-    // CheckpointConfig::signal_expiry_factor).
+    // Signals that aged out, unconsumed, one tau after they fired.
     uint64_t signals_expired = 0;
-    // Checkpoint partition writes abandoned after the engine exhausted its
-    // retry budget.
-    uint64_t writes_failed = 0;
     // Pending-sweep outcomes: stalled entries re-enqueued / given up on.
     uint64_t pending_requeued = 0;
     uint64_t pending_expired = 0;

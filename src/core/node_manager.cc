@@ -32,6 +32,7 @@ NodeManager::NodeManager(FlintContext* ctx, Marketplace* marketplace, FaultToler
         counter("flint_node_revocations", revocations_seen_.load(std::memory_order_relaxed));
         counter("flint_node_quarantines", quarantines_.load(std::memory_order_relaxed));
         counter("flint_node_unquarantines", unquarantines_.load(std::memory_order_relaxed));
+        counter("flint_select_degenerate_evaluations", selector_.DegenerateEvaluations());
         const std::vector<std::shared_ptr<NodeState>> live = ctx_->LiveNodeStates();
         if (!live.empty()) {
           double min_score = 1.0;

@@ -1,26 +1,33 @@
 #include "src/dfs/retry.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <thread>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace flint {
 
 namespace {
 
+// Backoff doubles per retry up to a cap, and each sleep is scaled by a
+// uniform draw from [1 - kJitterFraction, 1 + kJitterFraction].
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffSeconds = 0.1;
+constexpr double kJitterFraction = 0.25;
+constexpr uint64_t kJitterSeed = 0x9E3779B97F4A7C15ULL;
+
 bool Retryable(const Status& status) { return status.code() == StatusCode::kUnavailable; }
 
 // Shared attempt loop: `op` returns the status of one attempt. `kind` labels
-// telemetry ("put"/"get"); retries are cold, so per-retry registry lookups
-// are fine.
+// the dfs_retry trace instant ("put"/"get"). Callers count what they need
+// from `stats` (the engine's write_retries / writes_abandoned).
 Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy& policy,
                  const std::function<Status()>& op, DfsRetryStats* stats) {
-  Rng jitter(std::hash<std::string>{}(path) ^ policy.jitter_seed);
+  Rng jitter(std::hash<std::string>{}(path) ^ kJitterSeed);
   const auto t0 = WallClock::now();
   const int max_attempts = std::max(1, policy.max_attempts);
   double backoff = policy.initial_backoff_seconds;
@@ -35,17 +42,13 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
     if (attempt + 1 >= max_attempts) {
       break;
     }
-    double sleep_s = backoff;
-    if (policy.jitter_fraction > 0.0) {
-      sleep_s *= jitter.Uniform(1.0 - policy.jitter_fraction, 1.0 + policy.jitter_fraction);
-    }
+    const double sleep_s = backoff * jitter.Uniform(1.0 - kJitterFraction, 1.0 + kJitterFraction);
     if (policy.deadline_seconds > 0.0) {
       const double elapsed = WallDuration(WallClock::now() - t0).count();
       if (elapsed + sleep_s >= policy.deadline_seconds) {
         break;  // the next attempt would land past the deadline
       }
     }
-    MetricsRegistry::Global().GetCounter("flint_dfs_retry_attempts")->Increment();
     if (TracingEnabled()) {
       Tracer::Global().RecordInstant("dfs_retry", "dfs",
                                      {{"attempt", static_cast<double>(attempt + 1)},
@@ -53,11 +56,7 @@ Status RetryLoop(const std::string& path, const char* kind, const DfsRetryPolicy
                                      std::string(kind) + " " + path);
     }
     std::this_thread::sleep_for(WallDuration(sleep_s));
-    backoff = std::min(backoff * policy.backoff_multiplier, policy.max_backoff_seconds);
-  }
-  if (!last.ok() && Retryable(last)) {
-    // Budget exhausted on a transient error: the caller will abandon the op.
-    MetricsRegistry::Global().GetCounter("flint_dfs_retry_exhausted")->Increment();
+    backoff = std::min(backoff * kBackoffMultiplier, kMaxBackoffSeconds);
   }
   if (stats != nullptr) {
     stats->attempts = attempts;

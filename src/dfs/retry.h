@@ -19,15 +19,12 @@ namespace flint {
 struct DfsRetryPolicy {
   // Total attempts including the first; <= 1 disables retries.
   int max_attempts = 4;
+  // First backoff; it doubles per retry up to 0.1 s, each sleep jittered by
+  // +-25%.
   double initial_backoff_seconds = 0.002;
-  double backoff_multiplier = 2.0;
-  double max_backoff_seconds = 0.1;
-  // Backoff is scaled by a uniform draw from [1-j, 1+j].
-  double jitter_fraction = 0.25;
   // Total elapsed budget across attempts and backoffs; once exceeded the
   // last failure is returned. <= 0 disables the deadline.
   double deadline_seconds = 1.0;
-  uint64_t jitter_seed = 0x9E3779B97F4A7C15ULL;
 };
 
 struct DfsRetryStats {

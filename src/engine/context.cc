@@ -17,6 +17,9 @@ namespace flint {
 
 namespace {
 
+// Cross-node cache reads pay bytes/bandwidth (cluster network).
+constexpr double kRemoteFetchBandwidthBytesPerS = 512.0 * kMiB;
+
 // Exports EngineCounters + aggregated BlockManager/ShuffleManager counters
 // into the registry namespace. Runs only at Snapshot() time.
 void AppendCounter(std::vector<MetricSample>& out, const char* name, uint64_t v) {
@@ -135,6 +138,7 @@ FlintContext::FlintContext(ClusterManager* cluster, Dfs* dfs, EngineConfig confi
         AppendCounter(out, "flint_shuffle_fetch_waits", shuffle_mgr_.FetchWaits());
         AppendCounter(out, "flint_shuffle_map_outputs", shuffle_mgr_.MapOutputsRegistered());
         AppendCounter(out, "flint_shuffle_registered_bytes", shuffle_mgr_.RegisteredBytes());
+        AppendCounter(out, "flint_shuffle_reregistered", shuffle_mgr_.Reregistered());
         AppendGauge(out, "flint_shuffle_live_shuffles",
                     static_cast<double>(shuffle_mgr_.NumShuffles()));
         AppendGauge(out, "flint_shuffle_total_bytes",
@@ -251,10 +255,9 @@ PartitionPtr FlintContext::LookupBlock(const BlockKey& key, NodeId local) {
         continue;
       }
       if (PartitionPtr data = node->blocks->Get(key); data != nullptr) {
-        if (!is_local && config_.model_latency &&
-            config_.remote_fetch_bandwidth_bytes_per_s > 0.0) {
+        if (!is_local && config_.model_latency) {
           std::this_thread::sleep_for(WallDuration(static_cast<double>(data->SizeBytes()) /
-                                                   config_.remote_fetch_bandwidth_bytes_per_s));
+                                                   kRemoteFetchBandwidthBytesPerS));
         }
         return data;
       }
@@ -420,14 +423,6 @@ bool FlintContext::SetNodeQuarantined(NodeId id, bool quarantined) {
   // A node rejoined the schedulable set; wake any parked stage loop.
   node_added_cv_.NotifyAll();
   return true;
-}
-
-void FlintContext::SetNodeLinkBandwidth(NodeId id, double bytes_per_s) {
-  std::shared_ptr<NodeState> node = GetNodeState(id);
-  if (node == nullptr || bytes_per_s <= 0.0) {
-    return;
-  }
-  node->link_bandwidth_bytes_per_s.store(bytes_per_s, std::memory_order_relaxed);
 }
 
 std::shared_ptr<NodeState> FlintContext::GetNodeState(NodeId id) const {
@@ -787,10 +782,6 @@ void FlintContext::OnNodeAdded(const NodeInfo& info) {
   bm.memory_budget_bytes = info.memory_budget_bytes;
   node->blocks = std::make_unique<BlockManager>(bm);
   node->pool = std::make_unique<ThreadPool>(static_cast<size_t>(info.executor_threads));
-  if (config_.default_link_bandwidth_bytes_per_s > 0.0) {
-    node->link_bandwidth_bytes_per_s.store(config_.default_link_bandwidth_bytes_per_s,
-                                           std::memory_order_relaxed);
-  }
   {
     MutexLock lock(&nodes_mutex_);
     nodes_[info.node_id] = std::move(node);

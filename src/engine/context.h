@@ -66,8 +66,6 @@ struct SpeculationConfig {
 
 struct EngineConfig {
   BlockManagerConfig block_defaults;
-  // Cross-node cache reads pay bytes/bandwidth (cluster network).
-  double remote_fetch_bandwidth_bytes_per_s = 512.0 * kMiB;
   // Recomputing a source partition re-reads origin data (the paper's S3
   // re-fetch + re-partition + deserialize path, Sec 5.4). Source RDD computes
   // pay bytes/bandwidth on top of generation compute.
@@ -80,11 +78,11 @@ struct EngineConfig {
   DfsRetryPolicy checkpoint_retry;
   SpeculationConfig speculation;
   // --- network plane (DESIGN.md "Network plane") ---
-  // Default per-node NIC capacity. Every NodeState starts here; tests model
-  // heterogeneous fleets via FlintContext::SetNodeLinkBandwidth. Shuffle
-  // pulls charge bytes / (capacity / slow_factor) against the PRODUCING
-  // node's link when model_latency is on, so a congested NIC inflates
-  // reduce-side service times the same way slow compute does.
+  // Per-node NIC capacity, one value for every node; <= 0 leaves links
+  // unmodelled. Shuffle pulls charge bytes / (capacity / slow_factor)
+  // against the PRODUCING node's link when model_latency is on, so a
+  // congested NIC inflates reduce-side service times the same way slow
+  // compute does.
   // While speculation is on, a pull whose modelled transfer would outlast
   // spec_multiplier x bytes / the producer's nominal capacity is abandoned
   // at that budget, classified link-slow (an unhealthy sample for the
@@ -173,11 +171,6 @@ struct NodeState {
   // Round-robin dispatches routed here by PickNode (locality picks not
   // included). Exposed for placement tests and telemetry.
   std::atomic<uint64_t> tasks_picked{0};
-  // --- network plane ---
-  // Modelled NIC capacity (bytes/s). Initialized from
-  // EngineConfig::default_link_bandwidth_bytes_per_s; tests override per
-  // node via SetNodeLinkBandwidth to model heterogeneous fleets.
-  std::atomic<double> link_bandwidth_bytes_per_s{512.0 * 1024.0 * 1024.0};
 };
 
 class FlintContext : public ClusterListener {
@@ -245,9 +238,6 @@ class FlintContext : public ClusterListener {
   // Refuses to quarantine the last schedulable node — something must keep
   // accepting tasks — and returns whether the change was applied.
   bool SetNodeQuarantined(NodeId id, bool quarantined);
-  // Overrides `id`'s modelled NIC capacity (bytes/s). Unknown ids are
-  // ignored. Tests use this to model heterogeneous fleets.
-  void SetNodeLinkBandwidth(NodeId id, double bytes_per_s);
   // Blocks until at least one live node accepts new tasks; accumulates
   // acquisition wait.
   void WaitForLiveNode();

@@ -194,6 +194,8 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
     // The deadline already fired for this attempt (duplicate launched or at
     // least attempted); never fires twice.
     bool deadline_missed = false;
+    // A health verdict was already reported for this attempt; it gets one.
+    bool judged = false;
   };
   // Per-slot attempt bookkeeping, persistent across dispatch sweeps.
   struct SlotState {
@@ -225,12 +227,21 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   const bool seed_available =
       spec_cfg.enabled && carried_count_ >= static_cast<size_t>(spec_cfg.quorum);
   bool seed_counted = false;
-  // The armed stage P50: live once `quorum` wins are in, carried before
-  // that, nullopt with neither (no deadlines; every success is healthy)
-  // rather than trusting a stale stage's shape.
-  auto armed_p50 = [&]() -> std::optional<double> {
+  // The stage's own P50, once `quorum` wins are in. Only a T armed from it
+  // judges health: a carried T was measured on another stage's tasks, so a
+  // miss against it speculates but gives no verdict.
+  auto live_p50 = [&]() -> std::optional<double> {
     if (spec_cfg.enabled && static_cast<int>(p50.count()) >= spec_cfg.quorum) {
       return p50.value();
+    }
+    return std::nullopt;
+  };
+  // The armed stage P50: live once `quorum` wins are in, carried before
+  // that, nullopt with neither (no deadlines) rather than trusting a stale
+  // stage's shape.
+  auto armed_p50 = [&]() -> std::optional<double> {
+    if (const std::optional<double> live = live_p50()) {
+      return live;
     }
     if (seed_available) {
       return carried_p50_;
@@ -240,9 +251,14 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
   auto deadline_for = [&spec_cfg](double p50_seconds) {
     return std::max(spec_cfg.min_deadline_seconds, spec_cfg.spec_multiplier * p50_seconds);
   };
-  // Reports one attempt's pass/fail verdict to the node-health scorer.
-  auto report_health = [&](NodeId node, bool healthy) {
-    ctx_->NotifyTaskHealthSample(node, healthy, armed_p50().value_or(0.0));
+  // Reports one attempt's pass/fail verdict to the node-health scorer, once.
+  auto report_health = [&](AttemptState& attempt, bool healthy) {
+    if (attempt.judged) {
+      return;
+    }
+    attempt.judged = true;
+    ctx_->NotifyTaskHealthSample(attempt.node->info.node_id, healthy,
+                                 live_p50().value_or(0.0));
   };
 
   auto outcomes = std::make_shared<OutcomeQueue>();
@@ -431,7 +447,9 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
           const int slot = missed.slot;
           const NodeId from_node = missed.node->info.node_id;
           counters.task_deadline_misses.fetch_add(1, std::memory_order_relaxed);
-          report_health(from_node, /*healthy=*/false);
+          if (live_quorum) {
+            report_health(missed, /*healthy=*/false);
+          }
           SlotState& st = slots[slot];
           if (st.done || st.outstanding >= 2) {
             continue;  // already won, or already speculated
@@ -513,13 +531,11 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
 
       if (outcome.status.ok()) {
         node_progress[node_id] = finished;
-        // Judged against the T armed while it ran, before it joins the P50
-        // (healthy when none is armed). A success whose deadline already
-        // fired was judged at the miss.
-        if (!attempt.deadline_missed) {
-          const std::optional<double> armed = armed_p50();
-          report_health(node_id, !armed || seconds <= deadline_for(*armed));
-        }
+        // Judged against the stage's own T, before it joins the P50
+        // (healthy while T is carried or unarmed). A success whose deadline
+        // already fired against the stage's own T was judged at the miss.
+        const std::optional<double> live = live_p50();
+        report_health(attempt, !live || seconds <= deadline_for(*live));
         if (st.done) {
           // Duplicate success: its sibling already won. Computation is
           // deterministic so the results are bit-identical; nothing to
@@ -563,9 +579,7 @@ Status DagScheduler::RunStageLoop(const StageLoopSpec& spec) {
       // A genuine attempt failure (flaky node, poisoned input, user-code
       // error): penalize the node (unless its deadline miss already did),
       // charge the slot's budget, back off.
-      if (!attempt.deadline_missed) {
-        report_health(node_id, /*healthy=*/false);
-      }
+      report_health(attempt, /*healthy=*/false);
       ++st.failures;
       if (st.failures >= spec_cfg.max_attempts_per_task) {
         fatal = Status(outcome.status.code(),

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "src/common/log.h"
-#include "src/obs/metrics.h"
 
 namespace flint {
 
@@ -28,7 +27,7 @@ void ShuffleManager::RegisterShuffle(int shuffle_id, int num_maps, int num_reduc
     }
   }
   if (conflicting) {
-    MetricsRegistry::Global().GetCounter("flint_shuffle_reregistered")->Increment();
+    reregistered_.fetch_add(1, std::memory_order_relaxed);
     FLINT_WLOG() << "shuffle " << shuffle_id
                  << " re-registered with a different shape; keeping first "
                     "registration (maps=" << num_maps << " reduces=" << num_reduces

@@ -70,6 +70,10 @@ class ShuffleManager {
     return registered_bytes_.load(std::memory_order_relaxed);
   }
 
+  // Repeat registrations whose shape differed from the first (and were
+  // ignored); exported as flint_shuffle_reregistered.
+  uint64_t Reregistered() const { return reregistered_.load(std::memory_order_relaxed); }
+
   // Number of registered shuffles currently tracked.
   size_t NumShuffles() const;
 
@@ -107,6 +111,7 @@ class ShuffleManager {
   mutable std::atomic<uint64_t> fetch_waits_{0};
   std::atomic<uint64_t> map_outputs_registered_{0};
   std::atomic<uint64_t> registered_bytes_{0};
+  std::atomic<uint64_t> reregistered_{0};
 };
 
 }  // namespace flint

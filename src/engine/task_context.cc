@@ -219,13 +219,7 @@ Status TaskContext::ChargeLinkTransfer(NodeId producer, uint64_t bytes, double s
                                        int shuffle_id, int reduce_part) {
   const EngineConfig& cfg = ctx_->config();
   EngineCounters& counters = ctx_->counters();
-  std::shared_ptr<NodeState> producer_state = ctx_->GetNodeState(producer);
-  double capacity = producer_state != nullptr
-                        ? producer_state->link_bandwidth_bytes_per_s.load(std::memory_order_relaxed)
-                        : cfg.default_link_bandwidth_bytes_per_s;
-  if (capacity <= 0.0) {
-    capacity = cfg.default_link_bandwidth_bytes_per_s;
-  }
+  const double capacity = cfg.default_link_bandwidth_bytes_per_s;
   const double factor = std::max(1.0, slow_factor);
   const double effective = capacity > 0.0 ? capacity / factor : 0.0;
   counters.net_fetches.fetch_add(1, std::memory_order_relaxed);

@@ -159,24 +159,6 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-Counter* MetricsRegistry::GetCounter(const std::string& name) {
-  MutexLock lock(&mutex_);
-  auto& slot = counters_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
-  }
-  return slot.get();
-}
-
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  MutexLock lock(&mutex_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<Gauge>();
-  }
-  return slot.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          std::vector<double> bounds) {
   MutexLock lock(&mutex_);
@@ -204,13 +186,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::vector<CollectorFn> collectors;
   {
     MutexLock lock(&mutex_);
-    for (const auto& [name, counter] : counters_) {
-      snap.samples.push_back({name, MetricType::kCounter,
-                              static_cast<double>(counter->Value())});
-    }
-    for (const auto& [name, gauge] : gauges_) {
-      snap.samples.push_back({name, MetricType::kGauge, gauge->Value()});
-    }
     for (const auto& [name, histogram] : histograms_) {
       HistogramSnapshot h;
       h.name = name;
@@ -226,7 +201,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     }
   }
   // Collectors run without the registry lock so they can take their own
-  // subsystem locks (and call GetCounter) without ordering constraints.
+  // subsystem locks without ordering constraints.
   for (const CollectorFn& fn : collectors) {
     fn(snap.samples);
   }
@@ -241,12 +216,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::ResetForTest() {
   MutexLock lock(&mutex_);
-  for (auto& [name, counter] : counters_) {
-    counter->Reset();
-  }
-  for (auto& [name, gauge] : gauges_) {
-    gauge->Reset();
-  }
   for (auto& [name, histogram] : histograms_) {
     histogram->Reset();
   }

@@ -1,22 +1,20 @@
-// Process-wide metrics registry (ISSUE 6): one namespace for every counter
-// Flint maintains, replacing the per-subsystem silos (EngineCounters,
-// FaultToleranceManager::Stats, DFS retry counts, fusion counters,
-// BlockManager shard accounting, NodeManager lease history, MutexStats).
+// Process-wide metrics registry: one namespace for every count Flint keeps,
+// exported as Prometheus text. It owns no counters. Each event is counted
+// once, by the subsystem that owns it (EngineCounters, ShuffleManager,
+// FaultToleranceManager::Stats, NodeManager, ServerSelector, BlockManager),
+// and the registry only collects:
 //
-// Two kinds of instruments coexist:
-//
-//   - Native instruments (Counter / Gauge / Histogram) created on demand by
-//     name. Counters and histograms stripe their cells across cache-line-
-//     padded atomics so concurrent writers on different threads do not
-//     false-share; reads sum the stripes. These are for *new* metrics
-//     (shuffle_reregistered, dfs retry counts, selector sanitization, ...).
-//
-//   - Collectors: callbacks that adapt an existing subsystem's own counters
+//   - Collectors: callbacks that copy a subsystem's own counters and gauges
 //     into the registry namespace at Snapshot() time. Subsystems keep their
-//     hot-path atomics exactly as they are (EngineCounters stays an array of
-//     relaxed atomics); the collector only runs when somebody asks for a
-//     snapshot. Register with a ScopedCollector member so the callback is
-//     unhooked before the subsystem dies.
+//     hot-path atomics exactly as they are; the collector only runs when
+//     somebody asks for a snapshot. Register with a ScopedCollector member so
+//     the callback is unhooked before the subsystem dies, which also means a
+//     new context's counters start at zero whatever ran earlier.
+//
+//   - Histograms, the registry's only own instruments (latency
+//     distributions: flint_ft_delta_sample_seconds, flint_net_fetch_seconds).
+//     Observations stripe across cache-line-padded cells so concurrent
+//     writers on different threads do not false-share; reads sum the stripes.
 //
 // Snapshot() merges both into a sorted sample list; FormatPrometheusText()
 // renders the Prometheus text exposition format for scraping or file export.
@@ -54,47 +52,6 @@ inline void AtomicAddDouble(std::atomic<double>& target, double delta) {
   }
 }
 }  // namespace obs_internal
-
-// Monotonic counter. Increment is wait-free: one relaxed fetch_add on the
-// calling thread's stripe.
-class Counter {
- public:
-  void Increment(uint64_t n = 1) {
-    cells_[obs_internal::ThreadStripe() % kStripes].value.fetch_add(n,
-                                                                    std::memory_order_relaxed);
-  }
-  uint64_t Value() const {
-    uint64_t total = 0;
-    for (const Cell& c : cells_) {
-      total += c.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
-  void Reset() {
-    for (Cell& c : cells_) {
-      c.value.store(0, std::memory_order_relaxed);
-    }
-  }
-
- private:
-  static constexpr size_t kStripes = 8;
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> value{0};
-  };
-  std::array<Cell, kStripes> cells_{};
-};
-
-// Last-write-wins scalar (plus Add for accumulating doubles).
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta) { obs_internal::AtomicAddDouble(value_, delta); }
-  double Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
 
 // Fixed-bucket histogram: `bounds` are ascending inclusive upper bounds; an
 // implicit +inf bucket catches the rest. Observe is wait-free on the calling
@@ -158,15 +115,12 @@ class MetricsRegistry {
   // The process-wide registry every subsystem reports into.
   static MetricsRegistry& Global();
 
-  // Creates or fetches the named instrument. Returned pointers stay valid for
-  // the registry's lifetime (ResetForTest zeroes values, never frees). A name
-  // registered as one kind must not be reused as another.
-  Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
+  // Creates or fetches the named histogram. Returned pointers stay valid for
+  // the registry's lifetime (ResetForTest zeroes values, never frees).
   // `bounds` applies only on first creation.
   Histogram* GetHistogram(const std::string& name, std::vector<double> bounds);
 
-  // Snapshot-time adapters for pre-existing subsystem counters. The callback
+  // Snapshot-time adapters for subsystem-owned counters. The callback
   // appends fully-named samples; it runs without the registry lock held, so
   // it may take its subsystem's own locks freely.
   using CollectorFn = std::function<void(std::vector<MetricSample>&)>;
@@ -176,14 +130,12 @@ class MetricsRegistry {
   MetricsSnapshot Snapshot() const;
   std::string FormatPrometheusText() const { return Snapshot().FormatPrometheusText(); }
 
-  // Zeroes every native instrument (pointers stay valid) and leaves
-  // collectors untouched; for test isolation.
+  // Zeroes every histogram (pointers stay valid) and leaves collectors
+  // untouched; for test isolation.
   void ResetForTest();
 
  private:
   mutable Mutex mutex_{"MetricsRegistry::mutex_"};
-  std::unordered_map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(mutex_);
-  std::unordered_map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(mutex_);
   std::unordered_map<std::string, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(mutex_);
   std::unordered_map<uint64_t, CollectorFn> collectors_ GUARDED_BY(mutex_);
   uint64_t next_collector_id_ GUARDED_BY(mutex_) = 1;

@@ -6,12 +6,23 @@
 #include <limits>
 
 #include "src/common/stats.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace flint {
 
 namespace {
+
+// Instantaneous-risk filter: skip markets whose current price is more than
+// this fraction above the recent average.
+constexpr double kPriceThreshold = 0.10;
+// Interactive candidate set L: a market joins only while its worst absolute
+// price correlation with the members stays at or below this, and a mix
+// holds at most kMaxMarketsInMix markets.
+constexpr double kCorrelationThreshold = 0.4;
+constexpr size_t kMaxMarketsInMix = 8;
+// Weight of the newest observed link-throughput sample in the per-market
+// EWMA (RecordObservedThroughput).
+constexpr double kThroughputEwmaAlpha = 0.3;
 
 // Sort key for ranking evaluations by expected unit cost. Two degenerate
 // shapes must rank LAST instead of entering the comparator raw:
@@ -48,7 +59,7 @@ bool ServerSelector::Admissible(MarketId id, SimTime now) const {
   // Skip markets that are currently spiking (instantaneous price far above
   // the recent average) or outright unavailable at our bid.
   if (!marketplace_->PriceNearAverage(id, now, config_.history_window,
-                                      config_.price_threshold)) {
+                                      kPriceThreshold)) {
     return false;
   }
   return marketplace_->market(id).Available(now, BidFor(id));
@@ -62,8 +73,7 @@ void ServerSelector::RecordObservedThroughput(MarketId id, double ratio) {
   MutexLock lock(&link_mutex_);
   auto [it, inserted] = link_ewma_.try_emplace(id, clamped);
   if (!inserted) {
-    const double alpha = config_.throughput_ewma_alpha;
-    it->second = (1.0 - alpha) * it->second + alpha * clamped;
+    it->second = (1.0 - kThroughputEwmaAlpha) * it->second + kThroughputEwmaAlpha * clamped;
   }
 }
 
@@ -107,9 +117,7 @@ std::vector<MarketEvaluation> ServerSelector::EvaluateMarkets(
     }
   }
   if (degenerate > 0) {
-    MetricsRegistry::Global()
-        .GetCounter("flint_select_degenerate_evaluations")
-        ->Increment(degenerate);
+    degenerate_evaluations_.fetch_add(degenerate, std::memory_order_relaxed);
   }
   std::sort(out.begin(), out.end(), [](const MarketEvaluation& a, const MarketEvaluation& b) {
     const double ca = RankCost(a);
@@ -235,7 +243,7 @@ std::vector<MarketId> ServerSelector::UncorrelatedSet(size_t max_size) const {
         best = cand;
       }
     }
-    if (best == kOnDemandMarket || best_max > config_.correlation_threshold) {
+    if (best == kOnDemandMarket || best_max > kCorrelationThreshold) {
       break;
     }
     set.push_back(best);
@@ -299,8 +307,7 @@ Result<MixEvaluation> ServerSelector::SelectInteractive(
   std::vector<MarketId> chosen = {candidates.front()};
   MixEvaluation best = EvaluateMix(chosen, now, job);
   for (size_t i = 1;
-       i < candidates.size() && chosen.size() < static_cast<size_t>(config_.max_markets_in_mix);
-       ++i) {
+       i < candidates.size() && chosen.size() < kMaxMarketsInMix; ++i) {
     std::vector<MarketId> trial = chosen;
     trial.push_back(candidates[i]);
     MixEvaluation trial_mix = EvaluateMix(trial, now, job);

@@ -20,6 +20,8 @@
 #ifndef SRC_SELECT_SELECTION_H_
 #define SRC_SELECT_SELECTION_H_
 
+#include <atomic>
+#include <cstdint>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -44,16 +46,8 @@ enum class SelectionPolicyKind {
 struct SelectionConfig {
   double bid_multiple = 1.0;  // bid = multiple * on-demand price
   SimDuration history_window = Hours(24.0 * 7);
-  // Instantaneous-risk filter: skip markets whose current price is more than
-  // this fraction above the recent average.
-  double price_threshold = 0.10;
   // Candidate set L construction for the interactive policy.
   size_t max_candidate_set = 10;
-  double correlation_threshold = 0.4;
-  int max_markets_in_mix = 8;
-  // Weight of the newest observed link-throughput sample in the per-market
-  // EWMA (RecordObservedThroughput).
-  double throughput_ewma_alpha = 0.3;
 };
 
 // Application profile the cost model needs, in model hours.
@@ -86,6 +80,12 @@ class ServerSelector {
 
   const SelectionConfig& config() const { return config_; }
   double BidFor(MarketId id) const;
+
+  // Market evaluations EvaluateMarkets ranked last because their cost came
+  // out non-finite; exported as flint_select_degenerate_evaluations.
+  uint64_t DegenerateEvaluations() const {
+    return degenerate_evaluations_.load(std::memory_order_relaxed);
+  }
 
   // Folds one observed link-throughput sample (observed bytes/s over the
   // modelled capacity, clamped to (0, 1]) into `id`'s EWMA. The node manager
@@ -140,6 +140,7 @@ class ServerSelector {
   // read-only evaluator; leaf lock (never held while calling out).
   mutable Mutex link_mutex_{"ServerSelector::link_mutex_"};
   std::unordered_map<MarketId, double> link_ewma_ GUARDED_BY(link_mutex_);
+  mutable std::atomic<uint64_t> degenerate_evaluations_{0};
 };
 
 }  // namespace flint

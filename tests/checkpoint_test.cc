@@ -240,7 +240,7 @@ TEST(FtManagerTest, SystemsLevelSnapshotsWholeCache) {
 }
 
 // The periodic signal must not be bankable: an unconsumed signal expires
-// after signal_expiry_factor * tau instead of marking whatever RDD happens
+// one tau after it fired instead of marking whatever RDD happens
 // to be generated much later (possibly doubling that interval's checkpoints).
 TEST(FtManagerTest, StaleCheckpointSignalExpiresInsteadOfMarking) {
   EngineHarness h;

@@ -314,7 +314,6 @@ TEST(DfsFaultTest, ExhaustedRetriesEnterDegradedModeAndSuspendSignals) {
   EXPECT_GE(h.ctx().counters().writes_abandoned.load(), 1u);
   EXPECT_TRUE(ft.degraded());
   auto stats = ft.GetStats();
-  EXPECT_GE(stats.writes_failed, 1u);
   EXPECT_EQ(stats.degraded_entered, 1u);
 
   ft.FireCheckpointRound();  // probe fails against the outage; round skipped

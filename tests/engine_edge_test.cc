@@ -9,7 +9,6 @@
 #include "src/checkpoint/ft_manager.h"
 #include "src/engine/shuffle_manager.h"
 #include "src/engine/typed_rdd_ops.h"
-#include "src/obs/metrics.h"
 #include "src/workloads/kmeans.h"
 #include "src/workloads/pagerank.h"
 #include "tests/test_util.h"
@@ -40,17 +39,14 @@ TEST(ShuffleRegistryTest, ZeroMapShuffleIsCompleteAndFetchable) {
 }
 
 TEST(ShuffleRegistryTest, ConflictingReregistrationKeepsFirstShape) {
-  MetricsRegistry::Global().ResetForTest();
-  Counter* reregistered =
-      MetricsRegistry::Global().GetCounter("flint_shuffle_reregistered");
   ShuffleManager sm;
   sm.RegisterShuffle(1, /*num_maps=*/2, /*num_reduces=*/2);
   sm.RegisterShuffle(1, /*num_maps=*/5, /*num_reduces=*/9);  // differing duplicate
-  EXPECT_EQ(reregistered->Value(), 1u);
+  EXPECT_EQ(sm.Reregistered(), 1u);
   // First registration wins: still 2 map slots, not 5.
   EXPECT_EQ(sm.MissingMaps(1).size(), 2u);
   sm.RegisterShuffle(1, 2, 2);  // identical duplicate: clean no-op
-  EXPECT_EQ(reregistered->Value(), 1u);
+  EXPECT_EQ(sm.Reregistered(), 1u);
 }
 
 TEST(ShuffleRegistryTest, UnknownShuffleFetchIsDataLossAndCounted) {

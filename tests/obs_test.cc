@@ -237,27 +237,6 @@ class JsonParser {
 // ---------------------------------------------------------------------------
 // Registry instruments under contention.
 
-TEST(ObsMetricsTest, CounterSumsStripesAcrossEightThreads) {
-  Counter counter;
-  constexpr int kThreads = 8;
-  constexpr uint64_t kPerThread = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&counter] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        counter.Increment();
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(counter.Value(), kThreads * kPerThread);
-  counter.Reset();
-  EXPECT_EQ(counter.Value(), 0u);
-}
-
 TEST(ObsMetricsTest, HistogramBucketsAndSumSurviveContention) {
   // Bounds 1, 2, 4: observing v in {0.5, 1.5, 3, 100} lands one observation
   // in each bucket (including overflow) per round.
@@ -291,15 +270,18 @@ TEST(ObsMetricsTest, HistogramBucketsAndSumSurviveContention) {
 
 TEST(ObsMetricsTest, RegistryReturnsStablePointersAndResetKeepsThem) {
   MetricsRegistry registry;
-  Counter* a = registry.GetCounter("flint_test_counter");
-  Counter* b = registry.GetCounter("flint_test_counter");
+  Histogram* a = registry.GetHistogram("flint_test_latency", {0.1, 1.0});
+  Histogram* b = registry.GetHistogram("flint_test_latency", {5.0});
   EXPECT_EQ(a, b);
-  a->Increment(5);
+  EXPECT_EQ(b->bounds(), (std::vector<double>{0.1, 1.0}));  // first creation's bounds
+  a->Observe(0.5);
   registry.ResetForTest();
   // Pointers stay valid after reset; values are zeroed.
-  EXPECT_EQ(b->Value(), 0u);
-  b->Increment();
-  EXPECT_EQ(registry.Snapshot().Value("flint_test_counter"), 1.0);
+  EXPECT_EQ(b->TotalCount(), 0u);
+  b->Observe(0.5);
+  const MetricsSnapshot snap = registry.Snapshot();
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  EXPECT_EQ(snap.histograms[0].total_count, 1u);
 }
 
 TEST(ObsMetricsTest, ScopedCollectorUnhooksOnDestruction) {
@@ -317,8 +299,10 @@ TEST(ObsMetricsTest, ScopedCollectorUnhooksOnDestruction) {
 
 TEST(ObsMetricsTest, PrometheusTextHasTypedFamiliesAndCumulativeBuckets) {
   MetricsRegistry registry;
-  registry.GetCounter("flint_test_events")->Increment(3);
-  registry.GetGauge("flint_test_level")->Set(1.5);
+  ScopedCollector collector(&registry, [](std::vector<MetricSample>& out) {
+    out.push_back({"flint_test_events", MetricType::kCounter, 3.0});
+    out.push_back({"flint_test_level", MetricType::kGauge, 1.5});
+  });
   Histogram* hist = registry.GetHistogram("flint_test_latency", {0.1, 1.0});
   hist->Observe(0.05);
   hist->Observe(0.5);
@@ -327,6 +311,7 @@ TEST(ObsMetricsTest, PrometheusTextHasTypedFamiliesAndCumulativeBuckets) {
   EXPECT_NE(text.find("# TYPE flint_test_events counter"), std::string::npos);
   EXPECT_NE(text.find("flint_test_events 3"), std::string::npos);
   EXPECT_NE(text.find("# TYPE flint_test_level gauge"), std::string::npos);
+  EXPECT_NE(text.find("flint_test_level 1.5"), std::string::npos);
   EXPECT_NE(text.find("# TYPE flint_test_latency histogram"), std::string::npos);
   // Buckets are cumulative; +Inf carries the total.
   EXPECT_NE(text.find("flint_test_latency_bucket{le=\"+Inf\"} 3"), std::string::npos);
@@ -541,11 +526,11 @@ TEST_F(ObsEndToEndTest, StormRunTraceMatchesEngineCounters) {
          {"flint_engine_tasks_run", "flint_engine_partitions_computed",
           "flint_engine_partitions_recomputed", "flint_block_hits", "flint_block_misses",
           "flint_shuffle_fetch_waits", "flint_ft_rdds_checkpointed",
-          "flint_ft_partitions_written", "flint_ft_delta_seconds", "flint_ft_tau_seconds"}) {
+          "flint_engine_checkpoint_writes", "flint_ft_delta_seconds", "flint_ft_tau_seconds"}) {
       EXPECT_TRUE(snap.Has(name)) << name;
     }
     EXPECT_GT(snap.Value("flint_engine_tasks_run"), 0.0);
-    EXPECT_GT(snap.Value("flint_ft_partitions_written"), 0.0);
+    EXPECT_GT(snap.Value("flint_engine_checkpoint_writes"), 0.0);
     EXPECT_EQ(snap.Value("flint_engine_partitions_recomputed"),
               static_cast<double>(recomputes));
   }
@@ -599,6 +584,52 @@ TEST_F(ObsEndToEndTest, TracingOffRecordsNoEventsDuringARun) {
                  .Reduce([](int a, int b) { return a + b; });
   ASSERT_TRUE(sum.ok());
   EXPECT_EQ(Tracer::Global().GetStats().recorded, 0u);
+}
+
+// Every exported counter has one owner, and the registry only collects it
+// while the owner lives. So a fresh context's counters read zero before its
+// first job, whatever an earlier context in the same process counted: here a
+// retried checkpoint Put and a conflicting shuffle re-registration.
+TEST(ObsMetricsTest, FreshContextCountersStartAtZero) {
+  {
+    EngineHarness h;
+    CheckpointConfig cfg;
+    cfg.policy = CheckpointPolicyKind::kFlint;
+    cfg.mttf_hours = 1.0;
+    cfg.time.seconds_per_model_hour = 0.5;
+    cfg.initial_delta_seconds = 0.001;
+    FaultToleranceManager ft(&h.ctx(), cfg);
+    // A 3 ms outage on the first checkpoint Put: the default retry policy
+    // (2 ms first backoff, doubling) retries through it.
+    FaultPlan plan;
+    plan.events.push_back(DfsOutageAt(EnginePoint::kDfsPut, /*after_hits=*/0, "ckpt/",
+                                      /*duration_seconds=*/0.003));
+    FaultInjector injector(&h.cluster(), plan, &h.dfs());
+    ProbeGuard guard(&h.ctx(), &injector);
+
+    std::vector<int> data(200);
+    std::iota(data.begin(), data.end(), 0);
+    auto rdd = Parallelize(&h.ctx(), data, 4).Map([](const int& x) { return x + 1; });
+    rdd.Cache();
+    ASSERT_TRUE(rdd.Materialize().ok());
+    ft.CheckpointRddNow(rdd.raw());
+    h.ctx().DrainExecutors();
+    ASSERT_GE(h.ctx().counters().write_retries.load(), 1u);
+
+    h.ctx().shuffles().RegisterShuffle(1000, /*num_maps=*/2, /*num_reduces=*/2);
+    h.ctx().shuffles().RegisterShuffle(1000, /*num_maps=*/3, /*num_reduces=*/5);
+    ASSERT_EQ(MetricsRegistry::Global().Snapshot().Value("flint_shuffle_reregistered"), 1.0);
+  }
+
+  EngineHarness fresh;
+  size_t counters = 0;
+  for (const MetricSample& sample : MetricsRegistry::Global().Snapshot().samples) {
+    if (sample.type == MetricType::kCounter) {
+      ++counters;
+      EXPECT_EQ(sample.value, 0.0) << sample.name;
+    }
+  }
+  EXPECT_GT(counters, 0u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -337,48 +338,53 @@ TEST_F(StragglerTest, QuarantineLiftsAfterExactSampleCount) {
 // Correct work is not read as slowness: a fault-free job whose stages differ
 // 40x in per-task cost (1 ms map tasks, then 40 ms reduce-side tasks) is
 // judged stage by stage, so no node is quarantined and all stay schedulable.
+// The second input floors T at 10 ms: the reduce stage's first tasks then
+// miss a T carried from the cheap map stage, which may speculate but must
+// not count against their nodes' health.
 TEST_F(StragglerTest, StageCostChangeIsNotReadAsSlowness) {
-  FlintOptions options;
-  options.seed = 5;
-  options.time.seconds_per_model_hour = 0.05;
-  options.engine.model_latency = false;
-  options.engine.block_defaults.model_latency = false;
-  options.dfs.write_bandwidth_bytes_per_s = 0.0;
-  options.dfs.read_bandwidth_bytes_per_s = 0.0;
-  options.nodes.cluster_size = 4;
-  options.checkpoint.policy = CheckpointPolicyKind::kNone;
-  FlintCluster cluster(options);
-  ASSERT_TRUE(cluster.Start().ok());
-  const double quarantines_before =
-      MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines");
+  for (const double min_deadline : {SpeculationConfig{}.min_deadline_seconds, 0.01}) {
+    SCOPED_TRACE("min_deadline_seconds = " + std::to_string(min_deadline));
+    FlintOptions options;
+    options.seed = 5;
+    options.time.seconds_per_model_hour = 0.05;
+    options.engine.model_latency = false;
+    options.engine.block_defaults.model_latency = false;
+    options.engine.speculation.min_deadline_seconds = min_deadline;
+    options.dfs.write_bandwidth_bytes_per_s = 0.0;
+    options.dfs.read_bandwidth_bytes_per_s = 0.0;
+    options.nodes.cluster_size = 4;
+    options.checkpoint.policy = CheckpointPolicyKind::kNone;
+    FlintCluster cluster(options);
+    ASSERT_TRUE(cluster.Start().ok());
 
-  std::vector<std::pair<int, int>> data;
-  for (int i = 0; i < 512; ++i) {
-    data.emplace_back(i % 24, 1);
-  }
-  auto cheap = Parallelize(&cluster.ctx(), data, 128).Map([](const std::pair<int, int>& kv) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    return kv;
-  });
-  auto costly = ReduceByKey(cheap, 24, [](int a, int b) { return a + b; })
-                    .Map([](const std::pair<int, int>& kv) {
-                      std::this_thread::sleep_for(std::chrono::milliseconds(40));
-                      return kv;
-                    });
-  auto out = costly.Collect();
-  ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_EQ(out->size(), 24u);
-  cluster.ctx().DrainExecutors();
+    std::vector<std::pair<int, int>> data;
+    for (int i = 0; i < 512; ++i) {
+      data.emplace_back(i % 24, 1);
+    }
+    auto cheap =
+        Parallelize(&cluster.ctx(), data, 128).Map([](const std::pair<int, int>& kv) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          return kv;
+        });
+    auto costly = ReduceByKey(cheap, 24, [](int a, int b) { return a + b; })
+                      .Map([](const std::pair<int, int>& kv) {
+                        std::this_thread::sleep_for(std::chrono::milliseconds(40));
+                        return kv;
+                      });
+    auto out = costly.Collect();
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->size(), 24u);
+    cluster.ctx().DrainExecutors();
 
-  EXPECT_EQ(MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines"),
-            quarantines_before);
-  const auto live = cluster.ctx().LiveNodeStates();
-  ASSERT_EQ(live.size(), 4u);
-  EXPECT_EQ(cluster.ctx().SchedulableNodeStates().size(), 4u);
-  for (const auto& node : live) {
-    EXPECT_FALSE(cluster.nodes().Quarantined(node->info.node_id))
-        << "node " << node->info.node_id << " score "
-        << cluster.nodes().HealthScore(node->info.node_id);
+    EXPECT_EQ(MetricsRegistry::Global().Snapshot().Value("flint_node_quarantines"), 0.0);
+    const auto live = cluster.ctx().LiveNodeStates();
+    ASSERT_EQ(live.size(), 4u);
+    EXPECT_EQ(cluster.ctx().SchedulableNodeStates().size(), 4u);
+    for (const auto& node : live) {
+      EXPECT_FALSE(cluster.nodes().Quarantined(node->info.node_id))
+          << "node " << node->info.node_id << " score "
+          << cluster.nodes().HealthScore(node->info.node_id);
+    }
   }
 }
 

@@ -49,8 +49,11 @@
 #            --metrics-out, then tools/flint-report --validate proves the
 #            export is well-formed Chrome trace JSON containing stage,
 #            checkpoint (with delta + tau args), revocation, and
-#            market_selection events. Runs in the full pass (reuses the
-#            tier-1 build tree) and under --obs.
+#            market_selection events, and --validate-metrics proves the
+#            Prometheus export is well-formed (numeric values, typed
+#            families, no family exported twice). The straggler and
+#            slow-link legs validate their exports the same way. Runs in
+#            the full pass (reuses the tier-1 build tree) and under --obs.
 #   obs-straggler  flintctl run with one of four nodes computing 8x slow
 #            (kSlowNode at kTaskRun) and a tightened speculation deadline,
 #            then flint-report --validate proves the trace shows speculative
@@ -277,11 +280,13 @@ run_obs_storm() {
     record obs-trace "FAIL (storm run)"
     return
   fi
-  if python3 tools/flint-report --validate "${out}/storm-trace.json" \
+  if ! python3 tools/flint-report --validate "${out}/storm-trace.json" \
        --require stage,checkpoint,revocation,market_selection; then
-    record obs-trace pass
-  else
     record obs-trace "FAIL (trace validation)"
+  elif ! python3 tools/flint-report --validate-metrics "${out}/storm-metrics.prom"; then
+    record obs-trace "FAIL (metrics validation)"
+  else
+    record obs-trace pass
   fi
 }
 
@@ -305,11 +310,13 @@ run_obs_straggler() {
     record obs-straggler "FAIL (straggler run)"
     return
   fi
-  if python3 tools/flint-report --validate "${out}/straggler-trace.json" \
+  if ! python3 tools/flint-report --validate "${out}/straggler-trace.json" \
        --require stage,speculation,quarantine; then
-    record obs-straggler pass
-  else
     record obs-straggler "FAIL (trace validation)"
+  elif ! python3 tools/flint-report --validate-metrics "${out}/straggler-metrics.prom"; then
+    record obs-straggler "FAIL (metrics validation)"
+  else
+    record obs-straggler pass
   fi
 }
 
@@ -342,11 +349,13 @@ run_obs_slowlink() {
     record obs-slowlink "FAIL (slow-link run)"
     return
   fi
-  if python3 tools/flint-report --validate "${out}/slowlink-trace.json" \
+  if ! python3 tools/flint-report --validate "${out}/slowlink-trace.json" \
        --require slow_link,speculation; then
-    record obs-slowlink pass
-  else
     record obs-slowlink "FAIL (trace validation)"
+  elif ! python3 tools/flint-report --validate-metrics "${out}/slowlink-metrics.prom"; then
+    record obs-slowlink "FAIL (metrics validation)"
+  else
+    record obs-slowlink pass
   fi
 }
 

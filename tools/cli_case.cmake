@@ -1,5 +1,6 @@
-# Runs one command line and checks its exit code and output; the flintctl.*
-# and bench_baseline.* ctest cases in tools/CMakeLists.txt are built on it.
+# Runs one command line and checks its exit code and output; the flintctl.*,
+# bench_baseline.* and flint_report.* ctest cases in tools/CMakeLists.txt are
+# built on it.
 #
 #   cmake -DPROGRAM=<binary> -DEXPECT_RC=<code> -DEXPECT_REGEX=<regex>
 #         -P cli_case.cmake -- <arguments...>

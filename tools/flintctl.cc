@@ -193,6 +193,9 @@ class Args {
   std::set<std::string> bare_;
 };
 
+// Prints the usage text; returns the exit code 2.
+int Usage();
+
 // `s` is one of kPolicies (Args::Parse rejects anything else).
 SelectionPolicyKind ParsePolicy(const std::string& s) {
   if (s == "interactive") {
@@ -309,8 +312,12 @@ int CmdRun(const Args& args) {
   // demo transfers are microseconds; constrain it so injected link faults
   // (--slow-link) produce transfers long enough to trip the fetch timeout.
   if (args.Given("link-bandwidth")) {
-    options.engine.default_link_bandwidth_bytes_per_s =
-        args.GetDouble("link-bandwidth", 512.0) * 1024.0 * 1024.0;
+    const double mibps = args.GetDouble("link-bandwidth", 512.0);
+    if (mibps <= 0.0) {
+      std::fprintf(stderr, "flintctl run: --link-bandwidth must be positive\n");
+      return Usage();
+    }
+    options.engine.default_link_bandwidth_bytes_per_s = mibps * 1024.0 * 1024.0;
   }
   // Every run prints its effective seed so any run — including one that used
   // the default — can be replayed exactly with --seed.
